@@ -34,6 +34,7 @@ from repro.hist.histogram import Histogram
 from repro.mechanisms.laplace import laplace_noise
 from repro.obs.trace import span
 from repro.partition.voptimal import voptimal_table
+from repro.perf.kernels import _pick_kernel
 
 __all__ = ["Ahp"]
 
@@ -64,12 +65,11 @@ class Ahp(Publisher):
     threshold_const:
         ``c`` in the cutoff ``c * sqrt(log n) / eps1``.
     kernel:
-        DP engine for the clustering step
-        (:data:`repro.perf.kernels.KERNELS`); ``None`` defers to
-        :func:`repro.perf.kernels.resolve_kernel`.  The sorted scaffold
-        certifies the Monge property, so the default engages the
-        ``O(n k log n)`` divide-and-conquer kernel — AHP is the
-        publisher this speedup targets (see ``docs/performance.md``).
+        DP engine for the clustering step, one of
+        :data:`repro.perf.kernels.KERNELS`; ``None`` means ``"auto"``.
+        The sorted scaffold certifies the Monge property, so the default
+        engages the ``O(n k log n)`` divide-and-conquer kernel — AHP is
+        the publisher this speedup targets (see ``docs/performance.md``).
     """
 
     name = "ahp"
@@ -83,6 +83,7 @@ class Ahp(Publisher):
         check_in_range(scaffold_fraction, "scaffold_fraction", 0.0, 1.0,
                        inclusive=False)
         check_positive(threshold_const, "threshold_const")
+        _pick_kernel(kernel)
         self.scaffold_fraction = scaffold_fraction
         self.threshold_const = threshold_const
         self.kernel = kernel
@@ -121,7 +122,7 @@ class Ahp(Publisher):
         ks = np.arange(1, max_k + 1, dtype=np.float64)
         penalty = 2.0 * sigma1_sq * ks * (np.log(n / ks) + 1.0)
         remeasure = sigma2_sq * ks * ks / n
-        estimates = table.sse_by_k[1:] + penalty + remeasure
+        estimates = table.cost_by_k[1:] + penalty + remeasure
         k_star = int(np.argmin(estimates) + 1)
         partition = table.partition_for(k_star)
         clusters = [slice(start, stop) for start, stop in partition.buckets()]

@@ -69,7 +69,7 @@ def noise_first_error_estimates(
     estimates = np.full(table.max_k + 1, np.inf)
     ks = np.arange(1, table.max_k + 1, dtype=np.float64)
     penalty = 2.0 * sigma2 * ks * (np.log(table.n / ks) + 1.0)
-    estimates[1:] = table.sse_by_k[1:] + penalty
+    estimates[1:] = table.cost_by_k[1:] + penalty
     return estimates
 
 

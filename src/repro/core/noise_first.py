@@ -29,6 +29,7 @@ from repro.mechanisms.laplace import LaplaceMechanism
 from repro.mechanisms.sensitivity import histogram_sensitivity
 from repro.obs.trace import span
 from repro.partition.voptimal import voptimal_table
+from repro.perf.kernels import _pick_kernel
 
 __all__ = ["NoiseFirst"]
 
@@ -51,11 +52,10 @@ class NoiseFirst(Publisher):
         Neighbouring-dataset convention; controls the Laplace sensitivity
         (1 for ``"unbounded"``, 2 for ``"bounded"``).
     kernel:
-        DP engine for the post-processing v-optimal merge
-        (:data:`repro.perf.kernels.KERNELS`); ``None`` defers to
-        :func:`repro.perf.kernels.resolve_kernel`.  Noisy counts are
-        unsorted, so the exact blocked kernel is the effective engine —
-        see ``docs/performance.md``.
+        DP engine for the post-processing v-optimal merge, one of
+        :data:`repro.perf.kernels.KERNELS`; ``None`` means ``"auto"``.
+        Noisy counts are unsorted, so the exact blocked kernel is the
+        effective exact engine — see ``docs/performance.md``.
     """
 
     name = "noisefirst"
@@ -70,6 +70,7 @@ class NoiseFirst(Publisher):
         if k is not None:
             check_integer(k, "k", minimum=1)
         check_integer(max_k, "max_k", minimum=1)
+        _pick_kernel(kernel)
         self.k = k
         self.max_k = max_k
         self.sensitivity = histogram_sensitivity(neighbours)
@@ -122,7 +123,7 @@ class NoiseFirst(Publisher):
             "k": chosen_k,
             "adaptive": self.k is None,
             "partition": partition,
-            "noisy_sse_by_k": None if estimates is None else table.sse_by_k.copy(),
+            "noisy_sse_by_k": None if estimates is None else table.cost_by_k.copy(),
             "error_estimates": estimates,
         }
         return published, meta

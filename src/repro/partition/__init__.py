@@ -12,7 +12,6 @@ on the machinery in this package.
 from repro.partition.partition import Partition
 from repro.partition.sse import SegmentStats, partition_sse
 from repro.partition.voptimal import (
-    ApproxVOptimalResult,
     VOptimalResult,
     voptimal_partition,
     voptimal_table,
@@ -25,7 +24,6 @@ __all__ = [
     "SegmentStats",
     "partition_sse",
     "VOptimalResult",
-    "ApproxVOptimalResult",
     "voptimal_partition",
     "voptimal_table",
     "greedy_partition",

@@ -10,27 +10,23 @@ boundary sampling is built on this (see DESIGN.md's substitution table).
 
 ``sae_matrix`` precomputes every segment's SAE in ``O(n^2 log n)`` with
 an incremental two-heap median; ``l1_voptimal_table`` then runs the same
-prefix DP as the SSE version over the precomputed matrix.
+prefix DP as the SSE version over the precomputed matrix and returns the
+same :class:`~repro.partition.voptimal.VOptimalResult`.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro._validation import check_counts, check_integer
 from repro.partition.partition import Partition
-from repro.perf.approx import ApproxDP, approx_tables
-from repro.perf.costrows import DenseCost
-from repro.perf.kernels import dp_tables, resolve_table_kernel
+from repro.partition.voptimal import VOptimalResult, _solve
+from repro.perf.costrows import DenseCost, _running_sae
 
 __all__ = [
     "sae_matrix",
-    "L1VOptimalResult",
-    "ApproxL1VOptimalResult",
     "l1_voptimal_table",
     "partition_sae",
 ]
@@ -40,104 +36,15 @@ def sae_matrix(counts: Sequence[float]) -> np.ndarray:
     """Matrix ``M`` with ``M[i, j] = SAE(counts[i:j])`` (0 where ``j <= i``).
 
     Shape ``(n, n + 1)``.  For each left endpoint ``i`` the right endpoint
-    is extended one bin at a time while a two-heap running median keeps
-    the SAE update O(log n).
+    is extended one bin at a time while the shared two-heap running
+    median (:mod:`repro.perf.costrows`) keeps the SAE update O(log n).
     """
     arr = check_counts(counts, "counts")
     n = len(arr)
     matrix = np.zeros((n, n + 1), dtype=np.float64)
     for i in range(n):
-        low: List[float] = []  # max-heap (negated): values <= median
-        high: List[float] = []  # min-heap: values >= median
-        low_sum = 0.0
-        high_sum = 0.0
-        for j in range(i, n):
-            value = float(arr[j])
-            if not low or value <= -low[0]:
-                heapq.heappush(low, -value)
-                low_sum += value
-            else:
-                heapq.heappush(high, value)
-                high_sum += value
-            # Rebalance so len(low) == len(high) or len(low) == len(high)+1.
-            if len(low) > len(high) + 1:
-                moved = -heapq.heappop(low)
-                low_sum -= moved
-                heapq.heappush(high, moved)
-                high_sum += moved
-            elif len(high) > len(low):
-                moved = heapq.heappop(high)
-                high_sum -= moved
-                heapq.heappush(low, -moved)
-                low_sum += moved
-            median = -low[0]
-            # SAE = sum(high) - sum(low) + median * (len(low) - len(high)).
-            sae = (high_sum - len(high) * median) + (len(low) * median - low_sum)
-            matrix[i, j + 1] = max(sae, 0.0)
+        matrix[i, i + 1 :] = _running_sae(arr[i:])
     return matrix
-
-
-@dataclass(frozen=True)
-class L1VOptimalResult:
-    """L1 analogue of :class:`~repro.partition.voptimal.VOptimalResult`."""
-
-    n: int
-    max_k: int
-    sae_by_k: np.ndarray
-    _choices: np.ndarray
-    _opt: np.ndarray
-
-    def sae_prefix_table(self) -> np.ndarray:
-        """DP table ``opt[k][j]``: min total SAE of first j bins in k buckets."""
-        view = self._opt.view()
-        view.setflags(write=False)
-        return view
-
-    def partition_for(self, k: int) -> Partition:
-        """Reconstruct the optimal ``k``-bucket L1 partition."""
-        check_integer(k, "k", minimum=1)
-        if k > self.max_k:
-            raise ValueError(f"k={k} exceeds computed max_k={self.max_k}")
-        from repro.partition.voptimal import backtrack_boundaries
-
-        return Partition(
-            n=self.n, boundaries=backtrack_boundaries(self._choices, self.n, k)
-        )
-
-
-@dataclass(frozen=True)
-class ApproxL1VOptimalResult:
-    """Sparse L1 result from the approximate (1+delta) kernel.
-
-    Duck-types :class:`L1VOptimalResult` minus the dense prefix table
-    (mirrors :class:`repro.partition.voptimal.ApproxVOptimalResult`).
-    """
-
-    n: int
-    max_k: int
-    sae_by_k: np.ndarray
-    _dp: ApproxDP
-
-    @property
-    def delta(self) -> float:
-        return self._dp.delta
-
-    @property
-    def delta_certified_by_k(self) -> np.ndarray:
-        return self._dp.delta_certified_by_k
-
-    def sae_prefix_table(self) -> np.ndarray:
-        raise NotImplementedError(
-            "the approx kernel keeps no dense prefix table; use an exact "
-            "kernel when the full opt[k][j] table is required"
-        )
-
-    def partition_for(self, k: int) -> Partition:
-        """Materialize the approx ``k``-bucket L1 partition."""
-        check_integer(k, "k", minimum=1)
-        if k > self.max_k:
-            raise ValueError(f"k={k} exceeds computed max_k={self.max_k}")
-        return Partition(n=self.n, boundaries=self._dp.boundaries_for(k))
 
 
 def l1_voptimal_table(
@@ -145,17 +52,17 @@ def l1_voptimal_table(
     max_k: int,
     matrix: "np.ndarray | None" = None,
     kernel: Optional[str] = None,
-) -> "L1VOptimalResult | ApproxL1VOptimalResult":
+) -> VOptimalResult:
     """Prefix DP minimizing total SAE; same recurrence as the SSE DP.
 
     ``matrix`` may be a precomputed :func:`sae_matrix` to share work
     across calls.  ``kernel`` dispatches the DP engine exactly as in
-    :func:`repro.partition.voptimal.voptimal_table` — the SAE cost also
-    satisfies the concave quadrangle inequality, so the
-    divide-and-conquer kernel returns bit-identical tables; ``"auto"``
-    beyond the threshold and ``"approx"`` return the sparse
-    :class:`ApproxL1VOptimalResult` (SAE's single-bin cost is zero, so
-    the (1+delta) wavefront bound applies verbatim).
+    :func:`repro.partition.voptimal.voptimal_table`; a dense matrix
+    carries no Monge certificate, so ``exact_dc`` runs the exact blocked
+    scan.  ``"auto"`` beyond the threshold and ``"approx"`` return the
+    sparse approx table
+    (SAE's single-bin cost is zero, so the (1+delta) wavefront bound
+    applies verbatim).  ``cost_by_k`` of the result holds the SAE.
     """
     arr = check_counts(counts, "counts")
     n = len(arr)
@@ -168,22 +75,7 @@ def l1_voptimal_table(
         raise ValueError(
             f"matrix shape {matrix.shape} does not match counts of length {n}"
         )
-
-    if resolve_table_kernel(kernel, n) == "approx":
-        from repro.obs.trace import span
-
-        with span("kernel.dp", kernel="approx", n=n, k=max_k):
-            dp = approx_tables(DenseCost(matrix), max_k)
-        return ApproxL1VOptimalResult(
-            n=n, max_k=max_k, sae_by_k=dp.sse_by_k, _dp=dp
-        )
-    opt, choices = dp_tables(DenseCost(matrix), max_k, kernel=kernel)
-
-    sae_by_k = np.full(max_k + 1, np.inf, dtype=np.float64)
-    sae_by_k[1 : max_k + 1] = opt[1 : max_k + 1, n]
-    return L1VOptimalResult(
-        n=n, max_k=max_k, sae_by_k=sae_by_k, _choices=choices, _opt=opt
-    )
+    return _solve(DenseCost(matrix), max_k, kernel)
 
 
 def partition_sae(counts: Sequence[float], partition: Partition) -> float:

@@ -27,6 +27,7 @@ class SegmentStats:
 
     def __init__(self, counts: Sequence[float]) -> None:
         arr = check_counts(counts, "counts")
+        self._counts = arr
         self._n = len(arr)
         self._prefix = np.concatenate(([0.0], np.cumsum(arr)))
         self._prefix_sq = np.concatenate(([0.0], np.cumsum(arr * arr)))
@@ -39,6 +40,11 @@ class SegmentStats:
     def n(self) -> int:
         """Number of bins the stats cover."""
         return self._n
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The validated ``float64`` counts the tables were built from."""
+        return self._counts
 
     @property
     def prefix(self) -> np.ndarray:

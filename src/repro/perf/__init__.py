@@ -41,15 +41,7 @@ StructureFirst no longer materializes an ``O(n^2)`` cost matrix.
 root.  See ``docs/performance.md``.
 """
 
-from repro.perf.kernels import (
-    AUTO_APPROX_THRESHOLD,
-    EXACT_KERNELS,
-    KERNELS,
-    dp_tables,
-    resolve_kernel,
-    resolve_table_kernel,
-    set_default_kernel,
-)
+from repro.perf.kernels import AUTO_APPROX_THRESHOLD, KERNELS, dp_tables
 from repro.perf.approx import (
     APPROX_DELTA,
     APPROX_MAX_RUNGS,
@@ -65,12 +57,8 @@ from repro.perf.costrows import (
 
 __all__ = [
     "KERNELS",
-    "EXACT_KERNELS",
     "AUTO_APPROX_THRESHOLD",
     "dp_tables",
-    "resolve_kernel",
-    "resolve_table_kernel",
-    "set_default_kernel",
     "APPROX_DELTA",
     "APPROX_MAX_RUNGS",
     "ApproxDP",

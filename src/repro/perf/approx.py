@@ -131,15 +131,15 @@ class _Layer:
 class ApproxDP:
     """Sparse result of the approximate v-optimal DP.
 
-    ``sse_by_k[k]`` upper-bounds the exact optimum by the factor
+    ``cost_by_k[k]`` upper-bounds the exact optimum by the factor
     ``1 + delta_certified_by_k[k]``; :meth:`boundaries_for` materializes
-    a ``k``-bucket partition whose *true* cost is at most ``sse_by_k[k]``.
+    a ``k``-bucket partition whose *true* cost is at most ``cost_by_k[k]``.
     """
 
     n: int
     max_k: int
     delta: float
-    sse_by_k: np.ndarray
+    cost_by_k: np.ndarray
     delta_certified_by_k: np.ndarray
     _layers: List[_Layer] = field(repr=False)
     _final_kind: np.ndarray = field(repr=False)
@@ -160,13 +160,13 @@ class ApproxDP:
         sub-segment never costs more than its segment) and the bucket
         count is restored by splitting the widest bucket (refinement —
         splitting never increases total cost).  The returned partition's
-        true cost is therefore at most ``sse_by_k[k]``.
+        true cost is therefore at most ``cost_by_k[k]``.
         """
         if not 1 <= k <= self.max_k:
             raise ValueError(f"k must be in [1, {self.max_k}], got {k}")
         if k == 1:
             return ()
-        if not np.isfinite(self.sse_by_k[k]):
+        if not np.isfinite(self.cost_by_k[k]):
             raise ValueError(f"no feasible {k}-bucket partition recorded")
         kept: List[int] = []
         cap = self.n
@@ -440,14 +440,14 @@ def approx_tables(
     tau = (1.0 + delta) ** (1.0 / max(max_k - 1, 1)) - 1.0
     dense = n <= dense_threshold
 
-    sse_by_k = np.full(max_k + 1, np.inf, dtype=np.float64)
+    cost_by_k = np.full(max_k + 1, np.inf, dtype=np.float64)
     certified = np.zeros(max_k + 1, dtype=np.float64)
     final_kind = np.zeros(max_k + 1, dtype=np.int8)
     final_ref = np.zeros(max_k + 1, dtype=np.int64)
     layers: List[_Layer] = []
 
     # ---- layer 1: value(j) = cost(0, j), exactly -------------------------
-    sse_by_k[1] = float(_first_layer_values(cost, np.array([n]))[0])
+    cost_by_k[1] = float(_first_layer_values(cost, np.array([n]))[0])
     factor = 1.0
     if max_k >= 2:
         lo, hi = 1, n - 1
@@ -485,7 +485,7 @@ def approx_tables(
         v_n, k_n, r_n = _eval_batch(
             cost, prev.idx, prev.val, np.array([n], dtype=np.int64)
         )
-        sse_by_k[level] = float(v_n[0])
+        cost_by_k[level] = float(v_n[0])
         final_kind[level] = k_n[0]
         final_ref[level] = r_n[0]
         if level == max_k:
@@ -541,7 +541,7 @@ def approx_tables(
         n=n,
         max_k=max_k,
         delta=float(delta),
-        sse_by_k=sse_by_k,
+        cost_by_k=cost_by_k,
         delta_certified_by_k=certified,
         _layers=layers,
         _final_kind=final_kind,

@@ -41,6 +41,10 @@ Providers:
 * :class:`LazySAECost` — SAE about the segment median, one column at a
   time via an incremental two-heap running median (O(j log j) per
   column, O(n) memory).
+
+The two-heap running median itself lives in :func:`_running_sae`, the
+one copy shared by :class:`LazySAECost` and
+:func:`repro.partition.sae.sae_matrix`.
 """
 
 from __future__ import annotations
@@ -56,6 +60,47 @@ if TYPE_CHECKING:  # pragma: no cover - type-only; avoids an import cycle
     from repro.partition.sse import SegmentStats
 
 __all__ = ["PrefixSSECost", "DenseCost", "LazySAECost", "as_cost_rows"]
+
+
+def _running_sae(values: np.ndarray) -> np.ndarray:
+    """``out[t] = SAE(values[:t+1])`` for every prefix of ``values``.
+
+    Inserts the values one at a time into a two-heap running median and
+    reads the SAE (absolute deviation about the lower median) after each
+    insertion: ``O(m log m)`` for ``m`` values.  The whole loop stays in
+    this one function — it is the hot path of the SAE cost providers.
+    """
+    out: List[float] = []
+    append = out.append
+    push = heapq.heappush
+    pop = heapq.heappop
+    low: List[float] = []  # max-heap (negated): values <= median
+    high: List[float] = []  # min-heap: values >= median
+    low_sum = 0.0
+    high_sum = 0.0
+    for value in values.tolist():
+        if not low or value <= -low[0]:
+            push(low, -value)
+            low_sum += value
+        else:
+            push(high, value)
+            high_sum += value
+        # Rebalance so len(low) == len(high) or len(low) == len(high)+1.
+        if len(low) > len(high) + 1:
+            moved = -pop(low)
+            low_sum -= moved
+            push(high, moved)
+            high_sum += moved
+        elif len(high) > len(low):
+            moved = pop(high)
+            high_sum -= moved
+            push(low, -moved)
+            low_sum += moved
+        median = -low[0]
+        # SAE = sum(high) - sum(low) + median * (len(low) - len(high)).
+        sae = (high_sum - len(high) * median) + (len(low) * median - low_sum)
+        append(max(sae, 0.0))
+    return np.array(out, dtype=np.float64)
 
 
 class PrefixSSECost:
@@ -98,11 +143,12 @@ class PrefixSSECost:
         unsorted sequences violate it (``[0, 1, 0]`` is a
         counterexample — see docs/performance.md), so the
         divide-and-conquer kernel only engages on this certificate.
-        Checked once in O(n) via the prefix sums' first differences.
+        Checked once in O(n) on the counts themselves: differences of
+        the prefix sums round, and can make sorted counts look unsorted.
         """
         if self._monge is None:
-            diffs = np.diff(self._prefix)
-            self._monge = bool(np.all(diffs[1:] >= diffs[:-1]))
+            counts = self._stats.counts
+            self._monge = bool(np.all(counts[1:] >= counts[:-1]))
         return self._monge
 
     def column(self, j: int) -> np.ndarray:
@@ -164,13 +210,14 @@ class PrefixSSECost:
 class DenseCost:
     """Adapter over a precomputed ``(n, n + 1)`` segment-cost matrix.
 
-    ``assume_monge=True`` certifies that the matrix satisfies the
-    concave quadrangle inequality (caller's responsibility — e.g. SAE
-    costs of a sorted sequence), unlocking the divide-and-conquer
-    kernel; the default leaves the exact blocked scan in charge.
+    An arbitrary matrix carries no Monge certificate, so the exact
+    blocked scan stays in charge of it.
     """
 
-    def __init__(self, matrix: np.ndarray, assume_monge: bool = False) -> None:
+    #: Nothing certifies the quadrangle inequality for a given matrix.
+    monge_certified = False
+
+    def __init__(self, matrix: np.ndarray) -> None:
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[1] != matrix.shape[0] + 1:
             raise ValueError(
@@ -178,7 +225,6 @@ class DenseCost:
             )
         self._matrix = matrix
         self.n = matrix.shape[0]
-        self.monge_certified = bool(assume_monge)
         self._single_bin_free: "bool | None" = None
 
     @property
@@ -216,9 +262,9 @@ class DenseCost:
 class LazySAECost:
     """SAE (absolute deviation about the median) costs, one column at a time.
 
-    ``column(j)`` inserts ``counts[j-1], counts[j-2], …`` into a two-heap
-    running median — insertion order is irrelevant to the median of a
-    multiset — and reads the SAE after each insertion, yielding
+    ``column(j)`` runs :func:`_running_sae` over ``counts[j-1],
+    counts[j-2], …`` — insertion order is irrelevant to the median of a
+    multiset — yielding
     ``SAE(i, j)`` for ``i = j-1 … 0`` in ``O(j log j)`` time and ``O(j)``
     memory.  The whole Gibbs forward filter therefore runs in the same
     ``O(n^2 log n)`` time as materializing
@@ -246,36 +292,7 @@ class LazySAECost:
         """``SAE(i, j)`` for all ``i in [0, j)``."""
         if not 0 < j <= self.n:
             raise ValueError(f"column index {j} outside [1, {self.n}]")
-        arr = self._arr
-        out = np.empty(j, dtype=np.float64)
-        low: List[float] = []  # max-heap (negated): values <= median
-        high: List[float] = []  # min-heap: values >= median
-        low_sum = 0.0
-        high_sum = 0.0
-        for i in range(j - 1, -1, -1):
-            value = float(arr[i])
-            if not low or value <= -low[0]:
-                heapq.heappush(low, -value)
-                low_sum += value
-            else:
-                heapq.heappush(high, value)
-                high_sum += value
-            # Rebalance so len(low) == len(high) or len(low) == len(high)+1.
-            if len(low) > len(high) + 1:
-                moved = -heapq.heappop(low)
-                low_sum -= moved
-                heapq.heappush(high, moved)
-                high_sum += moved
-            elif len(high) > len(low):
-                moved = heapq.heappop(high)
-                high_sum -= moved
-                heapq.heappush(low, -moved)
-                low_sum += moved
-            median = -low[0]
-            # SAE = sum(high) - sum(low) + median * (len(low) - len(high)).
-            sae = (high_sum - len(high) * median) + (len(low) * median - low_sum)
-            out[i] = max(sae, 0.0)
-        return out
+        return _running_sae(self._arr[j - 1 :: -1])[::-1]
 
     def interval(self, ilo: int, ihi: int, j: int) -> np.ndarray:
         return self.column(j)[ilo:ihi]
@@ -308,34 +325,7 @@ class LazySAECost:
 
     def first_row(self) -> np.ndarray:
         """``SAE(0, j)`` for every ``j in [1, n]`` in one rightward pass."""
-        arr = self._arr
-        out = np.empty(self.n, dtype=np.float64)
-        low: List[float] = []
-        high: List[float] = []
-        low_sum = 0.0
-        high_sum = 0.0
-        for j in range(self.n):
-            value = float(arr[j])
-            if not low or value <= -low[0]:
-                heapq.heappush(low, -value)
-                low_sum += value
-            else:
-                heapq.heappush(high, value)
-                high_sum += value
-            if len(low) > len(high) + 1:
-                moved = -heapq.heappop(low)
-                low_sum -= moved
-                heapq.heappush(high, moved)
-                high_sum += moved
-            elif len(high) > len(low):
-                moved = heapq.heappop(high)
-                high_sum -= moved
-                heapq.heappush(low, -moved)
-                low_sum += moved
-            median = -low[0]
-            sae = (high_sum - len(high) * median) + (len(low) * median - low_sum)
-            out[j] = max(sae, 0.0)
-        return out
+        return _running_sae(self._arr)
 
 
 def as_cost_rows(cost) -> "PrefixSSECost | DenseCost | LazySAECost":

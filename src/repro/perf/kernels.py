@@ -49,20 +49,11 @@ the partition package can depend on it without cycles.
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = [
-    "KERNELS",
-    "EXACT_KERNELS",
-    "AUTO_APPROX_THRESHOLD",
-    "dp_tables",
-    "resolve_kernel",
-    "resolve_table_kernel",
-    "set_default_kernel",
-]
+__all__ = ["KERNELS", "AUTO_APPROX_THRESHOLD", "dp_tables"]
 
 #: Supported kernel names.  ``auto`` (the default) runs ``exact_dc`` up
 #: to :data:`AUTO_APPROX_THRESHOLD` bins — bit-identical to the historical
@@ -70,19 +61,9 @@ __all__ = [
 #: it, where exact DP is a quadratic wall.
 KERNELS = ("auto", "exact_dc", "exact_blocked", "reference", "approx")
 
-#: Kernels guaranteed to fill exact dense tables, in preference order.
-EXACT_KERNELS = ("exact_dc", "exact_blocked", "reference")
-
 #: ``auto`` switches from the exact divide-and-conquer/blocked path to
 #: the approximate (1+delta) engine above this many bins.
 AUTO_APPROX_THRESHOLD = 8192
-
-#: Environment variable overriding the default kernel (benchmark runs
-#: flip it without touching call sites).
-KERNEL_ENV = "REPRO_PARTITION_KERNEL"
-
-#: Short-form alias consulted when :data:`KERNEL_ENV` is unset.
-KERNEL_ENV_ALIAS = "REPRO_KERNEL"
 
 #: Below this many prefixes a divide-and-conquer node switches to one
 #: vectorized block scan; tuned so numpy call overhead, not element
@@ -94,45 +75,18 @@ _LEAF = 64
 #: candidate matrix is read from main memory once per prefix.
 _CHUNK_BYTES = 2 << 20
 
-_default_kernel = "auto"
 
+def _pick_kernel(kernel: Optional[str], n: Optional[int] = None) -> str:
+    """Validate a kernel name against :data:`KERNELS`; ``None`` is ``auto``.
 
-def set_default_kernel(kernel: str) -> str:
-    """Set the process-wide default kernel; returns the previous one."""
-    global _default_kernel
-    if kernel not in KERNELS:
-        raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
-    previous = _default_kernel
-    _default_kernel = kernel
-    return previous
-
-
-def resolve_kernel(kernel: Optional[str] = None) -> str:
-    """Resolve an explicit kernel name, the env override, or the default.
-
-    Precedence: explicit argument > ``REPRO_PARTITION_KERNEL`` env var >
-    ``REPRO_KERNEL`` env var > process default (``auto``).
-    """
-    if kernel is None:
-        kernel = (
-            os.environ.get(KERNEL_ENV)
-            or os.environ.get(KERNEL_ENV_ALIAS)
-            or _default_kernel
-        )
-    if kernel not in KERNELS:
-        raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
-    return kernel
-
-
-def resolve_table_kernel(kernel: Optional[str], n: int) -> str:
-    """Resolve a kernel and collapse ``auto`` to a concrete engine.
-
-    ``auto`` picks ``exact_dc`` (bit-identical to the historical
-    default) at or below :data:`AUTO_APPROX_THRESHOLD` bins and
+    Given the domain size ``n``, ``auto`` collapses to a concrete engine:
+    ``exact_dc`` at or below :data:`AUTO_APPROX_THRESHOLD` bins and
     ``approx`` beyond, where the exact engines hit the quadratic wall.
     """
-    name = resolve_kernel(kernel)
-    if name == "auto":
+    name = "auto" if kernel is None else kernel
+    if name not in KERNELS:
+        raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
+    if name == "auto" and n is not None:
         name = "exact_dc" if n <= AUTO_APPROX_THRESHOLD else "approx"
     return name
 
@@ -155,18 +109,19 @@ def dp_tables(
         Largest bucket count; tables have shape ``(max_k + 1, n + 1)``.
     kernel:
         ``"exact_dc"`` (falls back to the blocked scan when the cost is
-        not Monge-certified), ``"exact_blocked"`` or ``"reference"``;
-        ``None`` defers to :func:`resolve_kernel`.  ``"auto"`` always
-        takes the exact path here — dense tables are this function's
-        contract, so the auto exact/approx split lives in the
-        sparse-capable callers (:func:`repro.partition.voptimal.
-        voptimal_table` and friends).  ``"approx"`` is rejected: the
-        approximate engine (:func:`repro.perf.approx.approx_tables`)
-        never materializes dense tables.
+        not Monge-certified), ``"exact_blocked"`` or ``"reference"``.
+        ``None`` and ``"auto"`` always take the exact path here — dense
+        tables are this function's contract, so the auto exact/approx
+        split lives in the sparse-capable callers
+        (:func:`repro.partition.voptimal.voptimal_table` and
+        :func:`repro.partition.sae.l1_voptimal_table`).  ``"approx"`` is
+        rejected: the approximate engine
+        (:func:`repro.perf.approx.approx_tables`) never materializes
+        dense tables.
     """
     from repro.obs.trace import span
 
-    name = resolve_kernel(kernel)
+    name = _pick_kernel(kernel)
     if name == "auto":
         name = "exact_dc"
     elif name == "approx":

@@ -98,6 +98,8 @@ class TestAhpPublisher:
             Ahp(scaffold_fraction=1.0)
         with pytest.raises(ValueError):
             Ahp(threshold_const=0.0)
+        with pytest.raises(ValueError, match="kernel must be one of"):
+            Ahp(kernel="warp-drive")
 
     def test_high_eps_accurate(self):
         hist = searchlogs(n_bins=128, total=50_000)

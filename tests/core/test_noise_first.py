@@ -31,6 +31,10 @@ class TestFixedK:
         with pytest.raises(ValueError):
             NoiseFirst(k=0)
 
+    def test_rejects_unknown_kernel(self):
+        with pytest.raises(ValueError, match="kernel must be one of"):
+            NoiseFirst(kernel="warp-drive")
+
 
 class TestAdaptiveK:
     def test_meta_reports_adaptive(self, small_hist):

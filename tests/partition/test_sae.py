@@ -72,7 +72,7 @@ class TestL1VOptimal:
             p = Partition(n=8, boundaries=boundaries)
             best = min(best, partition_sae(counts, p))
         table = l1_voptimal_table(counts, k)
-        assert table.sae_by_k[k] == pytest.approx(best, abs=1e-9)
+        assert table.cost_by_k[k] == pytest.approx(best, abs=1e-9)
 
     def test_partition_achieves_reported_cost(self):
         rng = np.random.default_rng(20)
@@ -80,14 +80,14 @@ class TestL1VOptimal:
         table = l1_voptimal_table(counts, 5)
         p = table.partition_for(5)
         assert partition_sae(counts, p) == pytest.approx(
-            float(table.sae_by_k[5]), abs=1e-8
+            float(table.cost_by_k[5]), abs=1e-8
         )
 
     def test_monotone_in_k(self):
         rng = np.random.default_rng(21)
         counts = rng.uniform(0, 10, size=15)
         table = l1_voptimal_table(counts, 15)
-        costs = table.sae_by_k[1:]
+        costs = table.cost_by_k[1:]
         assert all(costs[i + 1] <= costs[i] + 1e-9 for i in range(len(costs) - 1))
 
     def test_accepts_precomputed_matrix(self):
@@ -95,7 +95,7 @@ class TestL1VOptimal:
         matrix = sae_matrix(counts)
         a = l1_voptimal_table(counts, 2, matrix=matrix)
         b = l1_voptimal_table(counts, 2)
-        np.testing.assert_allclose(a.sae_by_k[1:], b.sae_by_k[1:])
+        np.testing.assert_allclose(a.cost_by_k[1:], b.cost_by_k[1:])
 
     def test_rejects_wrong_matrix_shape(self):
         with pytest.raises(ValueError, match="shape"):
@@ -104,7 +104,7 @@ class TestL1VOptimal:
     def test_prefix_table_readonly(self):
         table = l1_voptimal_table([1.0, 2.0, 3.0], 2)
         with pytest.raises(ValueError):
-            table.sae_prefix_table()[1][1] = 0.0
+            table.prefix_table()[1][1] = 0.0
 
 
 class TestPartitionSae:

@@ -48,7 +48,7 @@ class TestStructuralProperties:
         rng = np.random.default_rng(6)
         counts = rng.uniform(0, 10, size=20)
         table = voptimal_table(counts, 20)
-        sses = table.sse_by_k[1:]
+        sses = table.cost_by_k[1:]
         assert all(sses[i + 1] <= sses[i] + 1e-9 for i in range(len(sses) - 1))
 
     def test_step_data_recovered_exactly(self):
@@ -79,14 +79,14 @@ class TestTableApi:
 
     def test_sse_prefix_table_readonly(self):
         table = voptimal_table([1.0, 2.0, 3.0], 2)
-        opt = table.sse_prefix_table()
+        opt = table.prefix_table()
         with pytest.raises(ValueError):
             opt[1][1] = 0.0
 
     def test_prefix_table_diagonal(self):
         # opt[k][k] = 0: k bins in k buckets is exact.
         table = voptimal_table([1.0, 5.0, 2.0, 8.0], 4)
-        opt = table.sse_prefix_table()
+        opt = table.prefix_table()
         for k in range(1, 5):
             assert opt[k][k] == pytest.approx(0.0, abs=1e-12)
 

@@ -3,11 +3,11 @@
 The approx kernel's contract has two halves, and the suite asserts both
 against the exact kernels wherever the exact DP is feasible:
 
-* **Reported values**: ``sse_by_k[k] <= (1 + delta) * exact_opt[k]``
+* **Reported values**: ``cost_by_k[k] <= (1 + delta) * exact_opt[k]``
   for every bucket count — unconditional with ``max_rungs=None``, and
   bounded by the *certified* delta whenever the rung budget binds.
 * **Materialized partitions**: the true cost of ``partition_for(k)``
-  never exceeds the reported ``sse_by_k[k]`` (truncation and refinement
+  never exceeds the reported ``cost_by_k[k]`` (truncation and refinement
   only ever decrease cost), so the end-to-end inflation of the
   partition a publisher actually uses is also ``(1 + delta)``-bounded.
 """
@@ -18,16 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.partition.partition import Partition
-from repro.partition.sae import (
-    ApproxL1VOptimalResult,
-    l1_voptimal_table,
-    partition_sae,
-)
+from repro.partition.sae import l1_voptimal_table, partition_sae
 from repro.partition.sse import partition_sse
-from repro.partition.voptimal import (
-    ApproxVOptimalResult,
-    voptimal_table,
-)
+from repro.partition.voptimal import VOptimalResult, voptimal_table
 from repro.perf.approx import (
     APPROX_DELTA,
     ApproxDP,
@@ -70,7 +63,7 @@ def _sae_tol(counts):
 
 
 def _exact_sse_by_k(counts, max_k):
-    return voptimal_table(counts, max_k, kernel="exact_blocked").sse_by_k
+    return voptimal_table(counts, max_k, kernel="exact_blocked").cost_by_k
 
 
 class TestDeltaBound:
@@ -82,7 +75,7 @@ class TestDeltaBound:
                           max_rungs=None)
         exact = _exact_sse_by_k(counts, max_k)
         for k in range(1, max_k + 1):
-            assert dp.sse_by_k[k] <= (1.0 + delta) * exact[k] + _sse_tol(counts)
+            assert dp.cost_by_k[k] <= (1.0 + delta) * exact[k] + _sse_tol(counts)
             # Unbudgeted: the certificate must not exceed the request.
             assert dp.delta_certified_by_k[k] <= delta + 1e-12
 
@@ -95,7 +88,7 @@ class TestDeltaBound:
         exact = _exact_sse_by_k(counts, max_k)
         for k in range(1, max_k + 1):
             certified = dp.delta_certified_by_k[k]
-            assert dp.sse_by_k[k] <= (1.0 + certified) * exact[k] + _sse_tol(counts)
+            assert dp.cost_by_k[k] <= (1.0 + certified) * exact[k] + _sse_tol(counts)
 
     @given(counts_and_k())
     @settings(max_examples=60, deadline=None)
@@ -107,7 +100,7 @@ class TestDeltaBound:
             assert len(boundaries) == k - 1
             partition = Partition(n=len(counts), boundaries=boundaries)
             assert partition_sse(counts, partition) \
-                <= dp.sse_by_k[k] + _sse_tol(counts)
+                <= dp.cost_by_k[k] + _sse_tol(counts)
 
     def test_bound_holds_at_n_4096(self):
         """One mid-size anchor where the exact DP is still affordable."""
@@ -117,10 +110,10 @@ class TestDeltaBound:
         dp = approx_tables(PrefixSSECost(counts), max_k, max_rungs=None)
         exact = _exact_sse_by_k(counts, max_k)
         for k in range(1, max_k + 1):
-            assert dp.sse_by_k[k] <= (1.0 + APPROX_DELTA) * exact[k] + _sse_tol(counts)
+            assert dp.cost_by_k[k] <= (1.0 + APPROX_DELTA) * exact[k] + _sse_tol(counts)
             partition = Partition(n=4096, boundaries=dp.boundaries_for(k))
             assert partition_sse(counts, partition) \
-                <= dp.sse_by_k[k] + _sse_tol(counts)
+                <= dp.cost_by_k[k] + _sse_tol(counts)
 
     def test_both_evaluation_modes_obey_the_bound(self):
         """Dense and bisection modes on the same input, same contract."""
@@ -131,7 +124,7 @@ class TestDeltaBound:
             dp = approx_tables(PrefixSSECost(counts), 16, max_rungs=None,
                               dense_threshold=threshold)
             for k in range(1, 17):
-                assert dp.sse_by_k[k] <= (1.0 + APPROX_DELTA) * exact[k] + _sse_tol(counts)
+                assert dp.cost_by_k[k] <= (1.0 + APPROX_DELTA) * exact[k] + _sse_tol(counts)
 
 
 class TestSAEMirror:
@@ -141,27 +134,36 @@ class TestSAEMirror:
         counts, max_k = case
         approx = l1_voptimal_table(counts, max_k, kernel="approx")
         exact = l1_voptimal_table(counts, max_k, kernel="exact_blocked")
-        assert isinstance(approx, ApproxL1VOptimalResult)
+        assert isinstance(approx, VOptimalResult)
+        assert approx.delta == APPROX_DELTA
         for k in range(1, max_k + 1):
             certified = approx.delta_certified_by_k[k]
-            assert approx.sae_by_k[k] \
-                <= (1.0 + certified) * exact.sae_by_k[k] + _sae_tol(counts)
+            assert approx.cost_by_k[k] \
+                <= (1.0 + certified) * exact.cost_by_k[k] + _sae_tol(counts)
             partition = approx.partition_for(k)
             assert partition.k == k
             assert partition_sae(counts, partition) \
-                <= approx.sae_by_k[k] + _sae_tol(counts)
+                <= approx.cost_by_k[k] + _sae_tol(counts)
 
 
 class TestResultContract:
     def test_voptimal_table_returns_sparse_result(self):
         counts = np.arange(32, dtype=np.float64)
         table = voptimal_table(counts, 4, kernel="approx")
-        assert isinstance(table, ApproxVOptimalResult)
+        assert isinstance(table, VOptimalResult)
+        assert table.delta == APPROX_DELTA
         assert table.n == 32 and table.max_k == 4
         with pytest.raises(NotImplementedError):
-            table.sse_prefix_table()
+            table.prefix_table()
         for k in range(1, 5):
             assert table.partition_for(k).k == k
+
+    def test_exact_result_certifies_zero_delta(self):
+        counts = np.arange(32, dtype=np.float64)
+        table = voptimal_table(counts, 4, kernel="exact_blocked")
+        assert table.delta == 0.0
+        assert np.array_equal(table.delta_certified_by_k, np.zeros(5))
+        assert table.prefix_table().shape == (5, 33)
 
     def test_dense_table_contract_rejects_approx(self):
         with pytest.raises(ValueError, match="approx"):
@@ -196,7 +198,7 @@ class TestResultContract:
         counts = rng.poisson(30.0, size=600).astype(np.float64)
         a = approx_tables(PrefixSSECost(counts), 12)
         b = approx_tables(PrefixSSECost(counts), 12)
-        assert np.array_equal(a.sse_by_k, b.sse_by_k)
+        assert np.array_equal(a.cost_by_k, b.cost_by_k)
         for k in range(1, 13):
             assert a.boundaries_for(k) == b.boundaries_for(k)
 

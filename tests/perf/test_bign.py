@@ -146,7 +146,7 @@ class TestApproxLargeN:
 
     def test_reported_values_monotone_in_k(self, workload):
         _counts, table = workload
-        finite = table.sse_by_k[1:]
+        finite = table.cost_by_k[1:]
         assert np.all(np.isfinite(finite))
         assert np.all(np.diff(finite) <= 1e-6 * finite[0])
 
@@ -157,7 +157,7 @@ class TestApproxLargeN:
         for k in (2, 8, 32):
             equi = partition_sse(counts, equiwidth_partition(self.N, k))
             certified = float(table.delta_certified_by_k[k])
-            assert table.sse_by_k[k] <= (1.0 + certified) * equi + 1e-6
+            assert table.cost_by_k[k] <= (1.0 + certified) * equi + 1e-6
 
     def test_beats_equiwidth_outright_on_bursty_input(self, workload):
         """Measured (not just certified) quality: on the shuffled-Zipf
@@ -175,7 +175,7 @@ class TestApproxLargeN:
         for k in (2, 8, 32):
             partition = table.partition_for(k)
             measured = partition_sse(counts, partition)
-            assert measured <= table.sse_by_k[k] * (1.0 + 1e-9) + 1e-6
+            assert measured <= table.cost_by_k[k] * (1.0 + 1e-9) + 1e-6
 
 
 class TestPublisherParityMidN:

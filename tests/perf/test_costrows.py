@@ -1,4 +1,9 @@
-"""Cost-rows providers: bit-equality with the historical dense paths."""
+"""Cost-rows providers: bit-equality with the historical dense paths.
+
+The lazy SAE provider and :func:`sae_matrix` share one running median,
+so the SAE cases also check both against the independent ``np.median``
+oracle :func:`brute_sae`.
+"""
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ from repro.perf.costrows import (
     PrefixSSECost,
     as_cost_rows,
 )
+from tests.partition.test_sae import brute_sae
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +56,9 @@ class TestPrefixSSECost:
         assert PrefixSSECost(np.sort(np.random.default_rng(0)
                                      .normal(size=50))).monge_certified
         assert not PrefixSSECost([0.0, 1.0, 0.0]).monge_certified
+        # Sorted, although the prefix sums' differences round unsorted.
+        assert PrefixSSECost(SegmentStats([6.41191635e-13, 2048.0, 2048.0])
+                             ).monge_certified
         # Cached: second access hits the memo.
         cost = PrefixSSECost([1.0, 2.0, 3.0])
         assert cost.monge_certified and cost.monge_certified
@@ -60,15 +69,21 @@ class TestLazySAECost:
         dense = sae_matrix(counts)
         lazy = LazySAECost(counts)
         for j in range(1, len(counts) + 1):
+            column = lazy.column(j)
+            oracle = [brute_sae(counts[i:j]) for i in range(j)]
+            np.testing.assert_allclose(column, oracle, rtol=1e-12, atol=1e-9)
             np.testing.assert_allclose(
-                lazy.column(j), dense[:j, j], rtol=1e-12, atol=1e-9
+                column, dense[:j, j], rtol=1e-12, atol=1e-9
             )
 
     def test_first_row_matches_dense(self, counts):
         dense = sae_matrix(counts)
         lazy = LazySAECost(counts)
+        first = lazy.first_row()
+        oracle = [brute_sae(counts[:j]) for j in range(1, len(counts) + 1)]
+        np.testing.assert_allclose(first, oracle, rtol=1e-12, atol=1e-9)
         np.testing.assert_allclose(
-            lazy.first_row(), dense[0, 1:], rtol=1e-12, atol=1e-9
+            first, dense[0, 1:], rtol=1e-12, atol=1e-9
         )
 
     def test_never_monge_certified(self, counts):
@@ -91,8 +106,6 @@ class TestDenseCost:
             np.testing.assert_allclose(dense.column(j), lazy.column(j),
                                        rtol=1e-12, atol=1e-9)
         assert not dense.monge_certified
-        assert DenseCost(sae_matrix(counts),
-                         assume_monge=True).monge_certified
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError, match="shape"):

@@ -1,123 +1,66 @@
-"""Kernel selection: env precedence, default restore, pool determinism.
+"""Kernel selection: one explicit knob, auto collapse, pool determinism.
 
-``resolve_kernel`` resolves in strict precedence order — explicit
-argument, then ``REPRO_PARTITION_KERNEL``, then the ``REPRO_KERNEL``
-alias, then the process default — and ``resolve_table_kernel``
-collapses ``auto`` to a concrete engine by domain size.  The approx
-engine itself is RNG-free, so the same histogram must produce
-bit-identical sparse tables in every process-pool worker.
+The ``kernel=`` argument is the only way to pick a DP engine: ``None``
+means ``auto``, and no environment variable or process-wide default
+steers the choice.  ``auto`` collapses to a concrete engine by domain
+size.  The approx engine itself is RNG-free, so the same histogram must
+produce bit-identical sparse tables in every process-pool worker.
 """
 
 import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-import pytest
 
-from repro.perf.kernels import (
-    AUTO_APPROX_THRESHOLD,
-    KERNEL_ENV,
-    KERNEL_ENV_ALIAS,
-    KERNELS,
-    resolve_kernel,
-    resolve_table_kernel,
-    set_default_kernel,
-)
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv(KERNEL_ENV, raising=False)
-    monkeypatch.delenv(KERNEL_ENV_ALIAS, raising=False)
+from repro.partition.voptimal import voptimal_table
+from repro.perf.kernels import AUTO_APPROX_THRESHOLD, KERNELS, _pick_kernel
 
 
 class TestPrecedence:
     def test_explicit_beats_everything(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "exact_blocked")
-        monkeypatch.setenv(KERNEL_ENV_ALIAS, "reference")
-        assert resolve_kernel("approx") == "approx"
-
-    def test_primary_env_beats_alias(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "exact_blocked")
-        monkeypatch.setenv(KERNEL_ENV_ALIAS, "reference")
-        assert resolve_kernel(None) == "exact_blocked"
-
-    def test_alias_beats_default(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_ALIAS, "reference")
-        assert resolve_kernel(None) == "reference"
+        monkeypatch.setenv("REPRO_PARTITION_KERNEL", "exact_blocked")
+        monkeypatch.setenv("REPRO_KERNEL", "reference")
+        assert _pick_kernel("approx") == "approx"
 
     def test_default_when_nothing_set(self):
-        assert resolve_kernel(None) == "auto"
+        assert _pick_kernel(None) == "auto"
+        assert _pick_kernel(None, 16) == "exact_dc"
 
-    def test_empty_env_values_fall_through(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "")
-        monkeypatch.setenv(KERNEL_ENV_ALIAS, "")
-        assert resolve_kernel(None) == "auto"
-
-    def test_invalid_env_value_raises(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_ALIAS, "warp-drive")
-        with pytest.raises(ValueError, match="kernel must be one of"):
-            resolve_kernel(None)
-
-
-class TestDefaultRestore:
-    def test_set_default_returns_previous(self):
-        previous = set_default_kernel("reference")
-        try:
-            assert previous == "auto"
-            assert resolve_kernel(None) == "reference"
-        finally:
-            assert set_default_kernel(previous) == "reference"
-        assert resolve_kernel(None) == "auto"
-
-    def test_nested_set_restore(self):
-        outer = set_default_kernel("exact_blocked")
-        inner = set_default_kernel("approx")
-        try:
-            assert inner == "exact_blocked"
-            assert resolve_kernel(None) == "approx"
-        finally:
-            set_default_kernel(inner)
-            set_default_kernel(outer)
-        assert resolve_kernel(None) == "auto"
-
-    def test_invalid_default_rejected_and_state_unchanged(self):
-        with pytest.raises(ValueError):
-            set_default_kernel("nope")
-        assert resolve_kernel(None) == "auto"
+    def test_environment_is_ignored(self, monkeypatch):
+        """No environment variable steers the kernel of any DP call."""
+        monkeypatch.setenv("REPRO_PARTITION_KERNEL", "approx")
+        monkeypatch.setenv("REPRO_KERNEL", "warp-drive")
+        assert _pick_kernel(None, 16) == "exact_dc"
+        counts = np.random.default_rng(5).poisson(9.0, size=40)
+        table = voptimal_table(counts.astype(float), 6)
+        assert table.delta == 0.0
+        assert table.prefix_table().shape == (7, 41)
 
 
 class TestAutoCollapse:
     def test_auto_small_is_exact_dc(self):
-        assert resolve_table_kernel("auto", AUTO_APPROX_THRESHOLD) \
-            == "exact_dc"
+        assert _pick_kernel("auto", AUTO_APPROX_THRESHOLD) == "exact_dc"
 
     def test_auto_large_is_approx(self):
-        assert resolve_table_kernel("auto", AUTO_APPROX_THRESHOLD + 1) \
-            == "approx"
+        assert _pick_kernel("auto", AUTO_APPROX_THRESHOLD + 1) == "approx"
 
     def test_concrete_kernels_pass_through(self):
         for kernel in KERNELS:
             if kernel == "auto":
                 continue
-            assert resolve_table_kernel(kernel, 10) == kernel
-            assert resolve_table_kernel(kernel, 1 << 20) == kernel
-
-    def test_env_steers_table_resolution(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_ALIAS, "approx")
-        assert resolve_table_kernel(None, 16) == "approx"
+            assert _pick_kernel(kernel) == kernel
+            assert _pick_kernel(kernel, 10) == kernel
+            assert _pick_kernel(kernel, 1 << 20) == kernel
 
 
 def _worker_digest(payload):
     """Run the approx table in a worker; return comparable raw arrays."""
     seed, n, max_k = payload
-    from repro.partition.voptimal import voptimal_table
-
     rng = np.random.default_rng(seed)
     counts = rng.poisson(40.0, size=n).astype(np.float64)
     table = voptimal_table(counts, max_k, kernel="approx")
     return (
-        table.sse_by_k.tobytes(),
+        table.cost_by_k.tobytes(),
         tuple(table.partition_for(k).boundaries
               for k in range(1, max_k + 1)),
         os.getpid(),

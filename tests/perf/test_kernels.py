@@ -10,18 +10,12 @@ falls back to the blocked scan and stays exact.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.partition.sae import l1_voptimal_table, sae_matrix
 from repro.partition.voptimal import voptimal_partition, voptimal_table
-from repro.perf.kernels import (
-    KERNEL_ENV,
-    KERNELS,
-    dp_tables,
-    resolve_kernel,
-    set_default_kernel,
-)
+from repro.perf.kernels import KERNELS, _pick_kernel, dp_tables
 from repro.perf.costrows import PrefixSSECost
 
 counts_strategy = st.lists(
@@ -54,6 +48,7 @@ class TestKernelEquivalence:
         assert np.array_equal(ch_ref, ch_blk)
 
     @given(counts_and_k())
+    @example((np.array([6.41191635e-13, 2048.0, 2048.0]), 3))
     @settings(max_examples=60, deadline=None)
     def test_dc_bitequal_reference_sorted(self, case):
         counts, k = case
@@ -70,7 +65,7 @@ class TestKernelEquivalence:
         counts, k = case
         ref = voptimal_table(counts, k, kernel="reference")
         dc = voptimal_table(counts, k, kernel="exact_dc")
-        assert np.array_equal(ref.sse_by_k, dc.sse_by_k)
+        assert np.array_equal(ref.cost_by_k, dc.cost_by_k)
         for level in range(1, k + 1):
             assert ref.partition_for(level) == dc.partition_for(level)
 
@@ -83,7 +78,7 @@ class TestKernelEquivalence:
         blk = l1_voptimal_table(
             counts, k, matrix=matrix, kernel="exact_blocked"
         )
-        assert np.array_equal(ref.sae_by_k, blk.sae_by_k)
+        assert np.array_equal(ref.cost_by_k, blk.cost_by_k)
         for level in range(1, k + 1):
             assert ref.partition_for(level) == blk.partition_for(level)
 
@@ -127,32 +122,13 @@ class TestDispatch:
             "approx",
         )
 
-    def test_resolve_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "reference")
-        assert resolve_kernel("exact_blocked") == "exact_blocked"
-        assert resolve_kernel(None) == "reference"
-
-    def test_resolve_env_beats_default(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert resolve_kernel(None) == "auto"
-        monkeypatch.setenv(KERNEL_ENV, "exact_blocked")
-        assert resolve_kernel(None) == "exact_blocked"
-
-    def test_set_default_kernel_roundtrip(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
-        previous = set_default_kernel("reference")
-        try:
-            assert resolve_kernel(None) == "reference"
-        finally:
-            set_default_kernel(previous)
-        assert resolve_kernel(None) == previous
-
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="kernel"):
-            resolve_kernel("smawk")
+            _pick_kernel("smawk")
         with pytest.raises(ValueError, match="kernel"):
-            set_default_kernel("")
+            _pick_kernel("")
+        with pytest.raises(ValueError, match="kernel"):
+            voptimal_table([1.0, 2.0, 3.0], 2, kernel="smawk")
 
 
 class TestBacktrackEdges:
@@ -175,7 +151,7 @@ class TestBacktrackEdges:
             result = voptimal_table(counts, 23, kernel=kernel)
             partition = result.partition_for(23)
             assert partition.boundaries == tuple(range(1, 23))
-            assert result.sse_by_k[23] == 0.0
+            assert result.cost_by_k[23] == 0.0
 
     def test_boundaries_are_python_ints(self):
         partition, sse = voptimal_partition([1.0, 9.0, 1.0, 9.0], 2)

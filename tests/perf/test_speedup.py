@@ -3,7 +3,7 @@
 The headline claim: on sorted inputs — AHP's clustering workload, where
 the SSE cost is Monge-certified — the divide-and-conquer kernel beats
 the O(n^2 k) reference by >= 5x at n = 2^14, max_k = 128, while
-producing the identical ``sse_by_k`` vector.  Marked ``slow`` because
+producing the identical ``cost_by_k`` vector.  Marked ``slow`` because
 the reference run itself takes on the order of a minute.
 
 A smaller non-slow smoke keeps a (deliberately loose) ordering check in
@@ -36,7 +36,7 @@ def test_dc_5x_speedup_sorted_n_2_14():
     dc, dc_seconds = _timed(counts, max_k, "exact_dc")
     ref, ref_seconds = _timed(counts, max_k, "reference")
 
-    assert np.array_equal(ref.sse_by_k, dc.sse_by_k)
+    assert np.array_equal(ref.cost_by_k, dc.cost_by_k)
     assert ref.partition_for(max_k) == dc.partition_for(max_k)
     speedup = ref_seconds / dc_seconds
     assert speedup >= 5.0, (
@@ -55,7 +55,7 @@ def test_dc_faster_than_reference_smoke():
     dc, dc_seconds = _timed(counts, max_k, "exact_dc", repeats=2)
     ref, ref_seconds = _timed(counts, max_k, "reference", repeats=2)
 
-    assert np.array_equal(ref.sse_by_k, dc.sse_by_k)
+    assert np.array_equal(ref.cost_by_k, dc.cost_by_k)
     assert ref_seconds / dc_seconds >= 1.5
 
 
@@ -70,7 +70,7 @@ def test_blocked_no_slower_than_reference_and_bitequal():
     blk, blk_seconds = _timed(counts, max_k, "exact_blocked", repeats=2)
     ref, ref_seconds = _timed(counts, max_k, "reference", repeats=2)
 
-    assert np.array_equal(ref.sse_by_k, blk.sse_by_k)
+    assert np.array_equal(ref.cost_by_k, blk.cost_by_k)
     # Generous 2x guard band: equality of outputs is the hard check,
     # the timing clause only flags a pathological slowdown (the blocked
     # kernel is ~1.4-1.8x *faster* standalone, but shared CI boxes and

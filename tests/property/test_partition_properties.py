@@ -75,13 +75,13 @@ class TestSseInvariants:
         table = voptimal_table(counts, k)
         eq_sse = partition_sse(counts, equiwidth_partition(len(counts), k))
         tol = 1e-6 * (1.0 + abs(eq_sse))
-        assert table.sse_by_k[k] <= eq_sse + tol
+        assert table.cost_by_k[k] <= eq_sse + tol
 
     @given(counts_and_k())
     def test_voptimal_monotone_in_k(self, data):
         counts, k = data
         table = voptimal_table(counts, k)
-        sses = table.sse_by_k[1 : k + 1]
+        sses = table.cost_by_k[1 : k + 1]
         scale = 1e-6 * (1.0 + float(np.max(np.abs(sses))))
         assert all(sses[i + 1] <= sses[i] + scale for i in range(len(sses) - 1))
 
@@ -91,7 +91,7 @@ class TestSseInvariants:
         _gp, gsse = greedy_partition(counts, k)
         table = voptimal_table(counts, k)
         tol = 1e-6 * (1.0 + abs(gsse))
-        assert gsse >= table.sse_by_k[k] - tol
+        assert gsse >= table.cost_by_k[k] - tol
 
 
 class TestSaeInvariants:
