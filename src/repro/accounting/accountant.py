@@ -21,6 +21,9 @@ __all__ = ["Accountant"]
 class Accountant:
     """Tracks and enforces spends against a fixed total budget.
 
+    Each spend costs the same at any ledger depth: the overdraft check
+    projects the ledger's running composition by the one candidate
+    record (:meth:`Ledger.total_with`) instead of re-folding the ledger.
     The overdraft check and the ledger append are atomic under an
     internal lock, so concurrent spenders (e.g. the query service's
     per-request handler threads debiting one tenant) can never race two
@@ -47,7 +50,8 @@ class Accountant:
             )
         self._total = total
         self._ledger = Ledger()
-        # Reentrant so spend_all can hold it across remaining + spend.
+        # Reentrant so spend_all and charge can hold it across
+        # remaining + spend.
         self._lock = threading.RLock()
 
     @property
@@ -90,10 +94,9 @@ class Accountant:
             raise TypeError(
                 f"budget must be a PrivacyBudget or number, got {type(budget).__name__}"
             )
+        record = SpendRecord(budget, purpose, parallel_group)
         with self._lock:
-            candidate = Ledger(list(self._ledger.records))
-            candidate.append(SpendRecord(budget, purpose, parallel_group))
-            projected = candidate.total()
+            projected = self._ledger.total_with(record)
             if (
                 projected.epsilon > self._total.epsilon + EPS_TOL
                 or projected.delta > self._total.delta + EPS_TOL
@@ -102,8 +105,23 @@ class Accountant:
                     requested=budget.epsilon,
                     remaining=self.remaining.epsilon,
                 )
-            self._ledger.append(SpendRecord(budget, purpose, parallel_group))
+            self._ledger.append(record)
         return budget
+
+    def charge(
+        self,
+        budget: "PrivacyBudget | float",
+        purpose: str,
+        parallel_group: "str | None" = None,
+    ) -> PrivacyBudget:
+        """:meth:`spend`, then return :attr:`remaining` under the same lock.
+
+        The balance returned is the one left by *this* spend, even when
+        other threads spend from the same accountant concurrently.
+        """
+        with self._lock:
+            self.spend(budget, purpose, parallel_group)
+            return self.remaining
 
     def spend_all(self, purpose: str) -> PrivacyBudget:
         """Withdraw everything that remains, in one spend."""

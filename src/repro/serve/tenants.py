@@ -74,13 +74,17 @@ class TenantLedgers:
 
         Unregistered tenants are auto-registered at the default budget
         (the open-enrollment mode the replay driver relies on).
-        Returns the tenant's remaining ε after the debit.
+        Returns the tenant's remaining ε after *this* debit, read under
+        the accountant's lock, so concurrent debits of one tenant each
+        report their own balance.
         """
         accountant = self.register(name)
-        accountant.spend(PrivacyBudget(float(epsilon)), purpose=purpose)
+        remaining = accountant.charge(
+            PrivacyBudget(float(epsilon)), purpose=purpose
+        )
         with self._lock:
             self._queries[name] = self._queries.get(name, 0) + 1
-        return accountant.remaining.epsilon
+        return remaining.epsilon
 
     def accountant(self, name: str) -> Optional[Accountant]:
         """The tenant's accountant, or ``None`` if never seen."""

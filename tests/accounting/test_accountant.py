@@ -57,6 +57,15 @@ class TestSpend:
         acc.spend(0.5, "l1", parallel_group="level")
         assert acc.spent.epsilon == pytest.approx(0.5)
 
+    def test_charge_returns_remaining_after_the_spend(self):
+        acc = Accountant(PrivacyBudget(1.0, 1e-6))
+        left = acc.charge(PrivacyBudget(0.25, 1e-7), "q")
+        assert left == acc.remaining
+        assert left.epsilon == 0.75
+        with pytest.raises(BudgetExceededError):
+            acc.charge(0.8, "too much")
+        assert len(acc.ledger) == 1
+
     def test_rejects_nonnumeric(self):
         acc = Accountant(1.0)
         with pytest.raises(TypeError):

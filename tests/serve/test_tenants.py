@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.exceptions import BudgetExceededError
@@ -93,3 +97,66 @@ class TestCharging:
         assert ledgers.charge("beta", 1.0, purpose="q") == pytest.approx(
             0.0
         )
+
+
+def _race_charges(ledgers, name, n_threads, per_thread, epsilon):
+    """Charge one tenant from N threads at once; returns every reply."""
+    barrier = threading.Barrier(n_threads)
+    replies = []
+    lock = threading.Lock()
+
+    def worker():
+        barrier.wait()
+        for _ in range(per_thread):
+            remaining = ledgers.charge(name, epsilon, purpose="race")
+            with lock:
+                replies.append(remaining)
+
+    threads = [threading.Thread(target=worker) for _ in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return replies
+
+
+class TestConcurrentRemaining:
+    """Each debit reports the balance *it* left, not a later one."""
+
+    BUDGET = 100.0
+    EPSILON = 0.25  # exact in binary, so balances are exact too
+
+    def _expected(self, n):
+        return sorted(self.BUDGET - self.EPSILON * k for k in range(1, n + 1))
+
+    def test_balances_are_the_distinct_post_debit_balances(self):
+        ledgers = TenantLedgers()
+        ledgers.register("alpha", self.BUDGET)
+        replies = _race_charges(ledgers, "alpha", 8, 25, self.EPSILON)
+        assert sorted(replies) == self._expected(200)
+
+    def test_balance_read_with_the_debit(self, monkeypatch):
+        """Other debits landing right after a spend do not leak into it.
+
+        The accountant's ``spend`` yields after recording, which lets the
+        other threads debit before the balance is read unless the read
+        happens in the same critical section as the spend.
+        """
+        ledgers = TenantLedgers()
+        acc = ledgers.register("alpha", self.BUDGET)
+        real_spend = acc.spend
+
+        def spend_then_yield(*args, **kwargs):
+            out = real_spend(*args, **kwargs)
+            time.sleep(0.005)
+            return out
+
+        monkeypatch.setattr(acc, "spend", spend_then_yield)
+        replies = _race_charges(ledgers, "alpha", 8, 1, self.EPSILON)
+        assert sorted(replies) == self._expected(8)
