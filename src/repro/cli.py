@@ -1,78 +1,20 @@
-"""Command-line interface: ``python -m repro <experiment-id> [...]``.
+"""Command-line interface: ``python -m repro <command> [...]``.
 
-Examples
---------
-List everything::
+One command table (``_COMMANDS``) maps each first token to its own
+parser and body; each command has its own ``--help``.  Worked examples
+live in README.md ("Reproducing the paper's evaluation") and docs/*.md::
 
-    python -m repro --list
-
-Run one figure quickly::
-
-    python -m repro fig_range_vs_len --quick
-
-Run a seed-parallel figure on four worker processes (bit-identical to
-the serial run)::
-
-    python -m repro fig_point_vs_eps --quick --n-jobs 4
-
-Run the full evaluation (slow; this is what EXPERIMENTS.md records)::
-
-    python -m repro all
-
-Check one publisher's empirical error against its closed-form oracle::
-
-    python -m repro verify --publisher boost --epsilon 0.1 --trials 60
-
-Refresh the tracked performance benchmarks (and gate on regressions)::
-
-    python -m repro bench --quick --check
-
-Run a fault-tolerant, journaled publisher sweep — and resume it after a
-crash or SIGKILL, bit-identically::
-
-    python -m repro run --journal sweep.jsonl --n-jobs 4 \
-        --timeout 120 --retries 2
-    python -m repro run --journal sweep.jsonl --n-jobs 4 \
-        --timeout 120 --retries 2 --resume
-    python -m repro run --journal sweep.jsonl --n-jobs 4 \
-        --resume --retry-failed   # re-attempt quarantined seeds too
-
-Run a traced sweep with live progress and a Prometheus metrics dump,
-then render the markdown run report from its journal::
-
-    python -m repro run --journal sweep.jsonl --n-jobs 4 \
-        --trace --progress tty --metrics-out metrics.prom
-    python -m repro report sweep.jsonl --out report.md
-
-Accumulate a run-history trajectory and watch it for accuracy/perf
-drift (the regression radar; see docs/observability.md)::
-
-    python -m repro run --journal sweep.jsonl --history h.sqlite
-    python -m repro bench --quick --check --history h.sqlite
-    python -m repro history ingest sweep.jsonl --db h.sqlite
-    python -m repro history drift --db h.sqlite --json verdicts.json
-    python -m repro history dash --db h.sqlite --out dash.md
-
-Sweep the DPBench-grade scenario families, feed per-workload utility
-trajectories into the radar, and publish the repro-paper bundle —
-deterministic markdown/LaTeX tables plus SVG crossover figures
-(docs/evaluation.md)::
-
-    python -m repro scenarios --list
-    python -m repro scenarios --quick --history h.sqlite
-    python -m repro scenarios --families smooth,cliff --seeds 5 \
-        --journal scen.jsonl --history h.sqlite
-    python -m repro history ingest scen.jsonl --db h.sqlite --rebuild
-    python -m repro paper --db h.sqlite --out paper/
-
-Stand up the DP histogram query service and drive it with a
-deterministic workload-trace replay whose p50/p99 latency feeds the
-regression radar (docs/serving.md)::
-
-    python -m repro serve --port 8377 --cache-entries 16
-    python -m repro replay examples/manifests/tiny_replay.json \
-        --history h.sqlite --metrics-out replay-metrics.json \
-        --transcript transcript.json
+    --list              print the experiment ids
+    <experiment-id>     regenerate one figure/table ('all': every one)
+    verify              calibrate a publisher against its error oracle
+    bench               refresh and gate the tracked perf benchmarks
+    run                 fault-tolerant, journaled, resumable sweep
+    report              markdown run report from a sweep journal
+    history             regression radar: ingest, drift, dashboards
+    serve               the DP histogram query service
+    replay              deterministic workload-trace replay
+    scenarios           DPBench-grade scenario sweep (utility radar)
+    paper               repro-paper bundle from the history store
 """
 
 from __future__ import annotations
@@ -80,10 +22,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Dict, List, Optional
-
-from repro.experiments.registry import list_experiments, run_experiment
-from repro.experiments.tables import render_table
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Tuple
 
 __all__ = ["main"]
 
@@ -91,36 +31,101 @@ __all__ = ["main"]
 #: the z=5 band still puts the false-alarm rate well below 1e-5.
 _VERIFY_TRIALS = 60
 
+_HISTORY_HELP = (
+    "run-history SQLite store (regression radar): 'run' "
+    "auto-ingests its sweep results, metrics totals, and "
+    "straggler alerts; 'bench' appends trajectory entries "
+    "and gates --check against the history median; 'report' "
+    "adds the vs-previous-runs delta section (see 'python "
+    "-m repro history --help')"
+)
 
-def _build_parser() -> argparse.ArgumentParser:
+_QUICK_HELP = "shrink grids/seeds so each experiment finishes in seconds"
+
+_N_JOBS_HELP = (
+    "worker processes for seed-parallel experiments "
+    "(1 = serial, -1 = all CPUs); results are bit-identical "
+    "to the serial run"
+)
+
+
+class _UsageError(Exception):
+    """A bad command line: :func:`main` prints ``error: <msg>``, exits 2."""
+
+
+# ---------------------------------------------------------------------------
+# Shared validation
+# ---------------------------------------------------------------------------
+
+def _check_shared_flags(args: argparse.Namespace) -> None:
+    """Validate the flags several commands share.
+
+    Checks only the flags the command's parser declares, so this one
+    helper serves the experiments, 'run', 'scenarios' and 'replay'.
+    """
+    flags = vars(args)
+    n_jobs = flags.get("n_jobs", 1)
+    if n_jobs != -1 and n_jobs < 1:
+        raise _UsageError(f"--n-jobs must be >= 1 or -1, got {n_jobs}")
+    retries = flags.get("retries", 0)
+    if retries < 0:
+        raise _UsageError(f"--retries must be >= 0, got {retries}")
+    timeout = flags.get("timeout")
+    if timeout is not None and timeout <= 0:
+        raise _UsageError(f"--timeout must be > 0, got {timeout}")
+    if flags.get("resume") and not flags.get("journal"):
+        raise _UsageError("--resume requires --journal")
+
+
+def _csv(text: Optional[str]) -> Optional[List[str]]:
+    """Split a comma-separated flag value; ``None`` when it is unset."""
+    if not text:
+        return None
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
+def _epsilons(text: str) -> List[float]:
+    """Parse the ``--epsilons`` grid."""
+    try:
+        return [float(e) for e in _csv(text) or []]
+    except ValueError:
+        raise _UsageError(f"bad --epsilons {text!r}") from None
+
+
+def _require_store(db: str) -> None:
+    """Refuse to read a history store that does not exist yet."""
+    if not Path(db).exists():
+        raise _UsageError(f"history store {db} does not exist "
+                          "(ingest something first)")
+
+
+def _write_metrics(registry, path: str) -> None:
+    """Dump the registry to ``path``; ``.json`` selects JSON rendering."""
+    from repro.robust.atomicio import atomic_write_text
+
+    out = Path(path)
+    if out.suffix == ".json":
+        text = registry.render_json_text()
+    else:
+        text = registry.render_prometheus()
+    atomic_write_text(out, text)
+
+
+# ---------------------------------------------------------------------------
+# Experiment ids, 'verify', 'bench', 'report'
+# ---------------------------------------------------------------------------
+
+def _build_top_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dphist",
         description="Regenerate the evaluation of 'Differentially Private "
                     "Histogram Publication' (ICDE 2012).",
     )
     parser.add_argument(
-        "experiment",
+        "command",
         nargs="?",
-        help="experiment id (see --list), 'all' to run everything, "
-             "'verify' to calibrate a publisher against its error oracle, "
-             "'bench' to refresh the tracked performance benchmarks, "
-             "'run' for a fault-tolerant journaled publisher sweep, "
-             "'report' to render a markdown run report from a journal, "
-             "'history' for the regression radar, 'serve' for the DP "
-             "histogram query service, or 'replay' for the "
-             "deterministic workload-trace load harness (each has its "
-             "own --help)",
-    )
-    parser.add_argument(
-        "target",
-        nargs="?",
-        default=None,
-        help="for 'report': the checkpoint-journal path to render",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="shrink grids/seeds so each experiment finishes in seconds",
+        help="experiment id (see --list), 'all' to run everything, or "
+             f"one of: {', '.join(_COMMANDS)} (each has its own --help)",
     )
     parser.add_argument(
         "--list",
@@ -128,239 +133,72 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="list_experiments",
         help="list the available experiment ids and exit",
     )
+    return parser
+
+
+def _build_experiment_parser(prog: str) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog=prog,
+        description="Regenerate one experiment of the paper's evaluation "
+                    "('all' runs every experiment id).",
+    )
+    parser.add_argument("--quick", action="store_true", help=_QUICK_HELP)
+    parser.add_argument("--n-jobs", type=int, default=1, metavar="N",
+                        help=_N_JOBS_HELP)
+    return parser
+
+
+def _run_experiments(args: argparse.Namespace) -> int:
+    """Render the tables of one experiment id, or of ``all`` of them."""
+    from repro.experiments.registry import list_experiments, run_experiment
+    from repro.experiments.tables import render_table
+
+    names = list_experiments() if args.command == "all" else [args.command]
+    for name in names:
+        try:
+            tables = run_experiment(name, quick=args.quick, n_jobs=args.n_jobs)
+        except KeyError as exc:
+            raise _UsageError(exc.args[0]) from None
+        for table in tables:
+            print(render_table(table))
+            print()
+    return 0
+
+
+def _build_verify_parser(prog: str) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog=prog,
+        description="Calibrate one publisher's empirical error against "
+                    "its closed-form oracle (docs/verification.md).",
+    )
     parser.add_argument(
-        "--n-jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for seed-parallel experiments "
-             "(1 = serial, -1 = all CPUs); results are bit-identical "
-             "to the serial run",
-    )
-    verify = parser.add_argument_group(
-        "verify options", "only used with the 'verify' experiment id"
-    )
-    verify.add_argument(
         "--publisher",
         default="dwork",
         help="publisher to calibrate (see repro.verify.ORACLE_BUILDERS)",
     )
-    verify.add_argument(
+    parser.add_argument(
         "--epsilon",
         type=float,
         default=0.5,
         help="privacy budget for the calibration publishes",
     )
-    verify.add_argument(
+    parser.add_argument(
         "--trials",
         type=int,
         default=_VERIFY_TRIALS,
         help="number of independent publishes to average",
     )
-    verify.add_argument(
+    parser.add_argument(
         "--bins",
         type=int,
         default=64,
         help="domain size of the synthetic step dataset",
     )
-    verify.add_argument(
+    parser.add_argument(
         "--seed",
         type=int,
         default=0,
         help="root seed of the deterministic verification streams",
-    )
-    bench = parser.add_argument_group(
-        "bench options", "only used with the 'bench' experiment id"
-    )
-    bench.add_argument(
-        "--check",
-        action="store_true",
-        help="compare against the committed BENCH_*.json baselines and "
-             "exit 1 on a >25%% calibration-normalized regression",
-    )
-    bench.add_argument(
-        "--output-dir",
-        default=None,
-        metavar="DIR",
-        help="directory for BENCH_*.json (default: the repository root)",
-    )
-    bench.add_argument(
-        "--profile",
-        default=None,
-        choices=("quick", "full", "bign"),
-        help="benchmark profile (overrides --quick): 'quick' is the CI "
-             "gate, 'full' the long exact-kernel sweep, 'bign' the "
-             "2^14..2^20 scaling grid written to BENCH_bign.json",
-    )
-    bench.add_argument(
-        "--max-n",
-        type=int,
-        default=None,
-        metavar="N",
-        help="slice the requested bench grid at this domain size; "
-             "dropped cases are recorded as skipped coverage gaps "
-             "(the CI bench-bign lane stops at 2^18)",
-    )
-    run = parser.add_argument_group(
-        "run options",
-        "only used with the 'run' experiment id (supervised sweep)",
-    )
-    run.add_argument(
-        "--dataset",
-        default="age",
-        help="sweep dataset: age, nettrace, searchlogs, socialnetwork",
-    )
-    run.add_argument(
-        "--bins-sweep",
-        dest="bins_sweep",
-        type=int,
-        default=64,
-        metavar="N",
-        help="domain size of the sweep dataset",
-    )
-    run.add_argument(
-        "--total",
-        type=int,
-        default=50_000,
-        help="total count of the sweep dataset",
-    )
-    run.add_argument(
-        "--publishers",
-        default=None,
-        metavar="A,B,...",
-        help="comma-separated publisher roster (default: the paper's "
-             "comparison roster)",
-    )
-    run.add_argument(
-        "--epsilons",
-        default="0.1,0.5",
-        metavar="E1,E2,...",
-        help="comma-separated epsilon grid",
-    )
-    run.add_argument(
-        "--sweep-seeds",
-        dest="sweep_seeds",
-        type=int,
-        default=3,
-        metavar="N",
-        help="seeds per cell (0..N-1)",
-    )
-    run.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="S",
-        help="per-trial wall-clock budget in seconds; hung workers are "
-             "killed and the seed retried (needs --n-jobs > 1)",
-    )
-    run.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        metavar="K",
-        help="failed-attempt budget per seed before quarantine "
-             "(exponential backoff between attempts)",
-    )
-    run.add_argument(
-        "--backoff",
-        type=float,
-        default=0.5,
-        metavar="S",
-        help="base of the exponential retry delay",
-    )
-    run.add_argument(
-        "--journal",
-        default=None,
-        metavar="PATH",
-        help="JSONL checkpoint journal; every completed trial is "
-             "appended atomically the moment it finishes",
-    )
-    run.add_argument(
-        "--resume",
-        action="store_true",
-        help="load fingerprint-matching entries from --journal and run "
-             "only the missing seeds (bit-identical continuation)",
-    )
-    run.add_argument(
-        "--retry-failed",
-        dest="retry_failed",
-        action="store_true",
-        help="with --resume: give journaled quarantined seeds fresh "
-             "attempts instead of keeping their FailedRecords (use "
-             "after fixing a transient failure, e.g. a worker OOM)",
-    )
-    run.add_argument(
-        "--strict",
-        action="store_true",
-        help="fail fast on the first exhausted cell instead of "
-             "quarantining it into a FailedRecord",
-    )
-    obs = parser.add_argument_group(
-        "observability options",
-        "tracing, metrics, and live progress for 'run' (see "
-        "docs/observability.md); 'report' renders a journal afterwards",
-    )
-    obs.add_argument(
-        "--trace",
-        action="store_true",
-        help="record per-stage span trees inside every trial "
-             "(exported to workers via REPRO_TRACE; rides the journal "
-             "in timing-exempt meta, so results stay bit-identical)",
-    )
-    obs.add_argument(
-        "--trace-resources",
-        dest="trace_resources",
-        action="store_true",
-        help="also record tracemalloc peak + getrusage per trial "
-             "(REPRO_TRACE_RESOURCE; costs real time — attribution "
-             "runs only)",
-    )
-    obs.add_argument(
-        "--metrics-out",
-        dest="metrics_out",
-        default=None,
-        metavar="PATH",
-        help="write the metrics registry after the sweep: Prometheus "
-             "textfile-collector format, or JSON when PATH ends in "
-             ".json",
-    )
-    obs.add_argument(
-        "--progress",
-        choices=("none", "tty", "jsonl"),
-        default="none",
-        help="live progress on stderr: 'tty' = one rewritten status "
-             "line with ETA and stragglers, 'jsonl' = one JSON object "
-             "per executor event (default: none)",
-    )
-    obs.add_argument(
-        "--straggler-factor",
-        dest="straggler_factor",
-        type=float,
-        default=None,
-        metavar="F",
-        help="adaptive straggler threshold for --progress: flag a "
-             "seed after F x the mean completed-trial duration "
-             "(default: fixed 10s; env REPRO_STRAGGLER_FACTOR)",
-    )
-    obs.add_argument(
-        "--history",
-        default=None,
-        metavar="DB",
-        help="run-history SQLite store (regression radar): 'run' "
-             "auto-ingests its sweep results, metrics totals, and "
-             "straggler alerts; 'bench' appends trajectory entries "
-             "and gates --check against the history median; 'report' "
-             "adds the vs-previous-runs delta section (see 'python "
-             "-m repro history --help')",
-    )
-    report = parser.add_argument_group(
-        "report options", "only used with the 'report' experiment id"
-    )
-    report.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write the markdown report to PATH (default: stdout)",
     )
     return parser
 
@@ -407,27 +245,19 @@ def _run_verify(args: argparse.Namespace) -> int:
     from repro.verify.streams import StreamAllocator
 
     if args.epsilon <= 0:
-        print(f"error: --epsilon must be > 0, got {args.epsilon}",
-              file=sys.stderr)
-        return 2
+        raise _UsageError(f"--epsilon must be > 0, got {args.epsilon}")
     if args.trials < 2:
-        print(f"error: --trials must be >= 2, got {args.trials}",
-              file=sys.stderr)
-        return 2
+        raise _UsageError(f"--trials must be >= 2, got {args.trials}")
     if args.bins < 8:
-        print(f"error: --bins must be >= 8, got {args.bins}",
-              file=sys.stderr)
-        return 2
+        raise _UsageError(f"--bins must be >= 8, got {args.bins}")
     factories = _verify_factories(args.bins)
     try:
         factory = factories[args.publisher]
     except KeyError:
-        print(
-            f"error: unknown publisher {args.publisher!r}; available: "
-            f"{', '.join(sorted(factories))}",
-            file=sys.stderr,
-        )
-        return 2
+        raise _UsageError(
+            f"unknown publisher {args.publisher!r}; available: "
+            f"{', '.join(sorted(factories))}"
+        ) from None
 
     # Well-separated steps keep the structure publishers' realized
     # partitions deterministic, so the conditional oracles are sharp.
@@ -451,35 +281,94 @@ def _run_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _write_metrics(registry, path: str) -> None:
-    """Dump the registry to ``path``; ``.json`` selects JSON rendering."""
-    from pathlib import Path
+def _build_bench_parser(prog: str) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog=prog,
+        description="Refresh the tracked performance benchmarks "
+                    "(BENCH_*.json) and optionally gate on regressions "
+                    "(docs/performance.md).",
+    )
+    parser.add_argument("--quick", action="store_true", help=_QUICK_HELP)
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="compare against the committed BENCH_*.json baselines and "
+             "exit 1 on a >25%% calibration-normalized regression",
+    )
+    parser.add_argument(
+        "--output-dir",
+        default=None,
+        metavar="DIR",
+        help="directory for BENCH_*.json (default: the repository root)",
+    )
+    parser.add_argument(
+        "--profile",
+        default=None,
+        choices=("quick", "full", "bign"),
+        help="benchmark profile (overrides --quick): 'quick' is the CI "
+             "gate, 'full' the long exact-kernel sweep, 'bign' the "
+             "2^14..2^20 scaling grid written to BENCH_bign.json",
+    )
+    parser.add_argument(
+        "--max-n",
+        type=int,
+        default=None,
+        metavar="N",
+        help="slice the requested bench grid at this domain size; "
+             "dropped cases are recorded as skipped coverage gaps "
+             "(the CI bench-bign lane stops at 2^18)",
+    )
+    parser.add_argument("--history", default=None, metavar="DB",
+                        help=_HISTORY_HELP)
+    return parser
 
-    from repro.robust.atomicio import atomic_write_text
 
-    out = Path(path)
-    if out.suffix == ".json":
-        text = registry.render_json_text()
-    else:
-        text = registry.render_prometheus()
-    atomic_write_text(out, text)
+def _run_bench(args: argparse.Namespace) -> int:
+    """Run one benchmark profile (see repro.perf.bench)."""
+    from repro.perf.bench import run_bench
+
+    return run_bench(
+        quick=args.quick,
+        check=args.check,
+        output_dir=args.output_dir,
+        history=args.history,
+        profile=args.profile,
+        max_n=args.max_n,
+    )
+
+
+def _build_report_parser(prog: str) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog=prog,
+        description="Render the markdown run report from a checkpoint "
+                    "journal (docs/observability.md).",
+    )
+    parser.add_argument("journal", nargs="?", default=None,
+                        help="the checkpoint-journal path to render")
+    parser.add_argument("--history", default=None, metavar="DB",
+                        help=_HISTORY_HELP)
+    parser.add_argument(
+        "--out",
+        default=None,
+        metavar="PATH",
+        help="write the markdown report to PATH (default: stdout)",
+    )
+    return parser
 
 
 def _run_report(args: argparse.Namespace) -> int:
-    """Render the markdown run report from a journal (the 'report' id)."""
-    from pathlib import Path
-
+    """Render the markdown run report from a journal."""
     from repro.obs.report import render_report, write_report
 
-    if not args.target:
-        print("error: report needs a journal path: "
-              "python -m repro report <journal.jsonl> [--out report.md]",
-              file=sys.stderr)
-        return 2
-    journal = Path(args.target)
+    if not args.journal:
+        raise _UsageError("report needs a journal path: "
+                          "python -m repro report <journal.jsonl> "
+                          "[--out report.md]")
+    journal = Path(args.journal)
     if not journal.exists():
-        print(f"error: journal {journal} does not exist", file=sys.stderr)
-        return 2
+        raise _UsageError(f"journal {journal} does not exist")
+    if args.history:
+        _require_store(args.history)
     if args.out:
         write_report(journal, args.out, history=args.history)
         print(f"wrote {args.out}")
@@ -489,12 +378,12 @@ def _run_report(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The 'serve' / 'replay' subcommands (query service + load harness)
+# The 'serve' / 'replay' commands (query service + load harness)
 # ---------------------------------------------------------------------------
 
-def _build_serve_parser() -> argparse.ArgumentParser:
+def _build_serve_parser(prog: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="dphist serve",
+        prog=prog,
         description="Long-lived DP histogram query service: publish "
                     "once per (dataset, publisher, epsilon, k) spec, "
                     "cache artifacts in a fingerprint-keyed LRU, and "
@@ -592,21 +481,16 @@ def _build_serve_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _serve_main(argv: List[str]) -> int:
-    """Entry point for ``python -m repro serve ...``."""
-    from pathlib import Path
-
+def _run_serve(args: argparse.Namespace) -> int:
+    """Bind the query service and serve until shutdown."""
     from repro.obs import trace
     from repro.serve.admission import AdmissionController
     from repro.serve.server import make_server, run_server
     from repro.serve.service import QueryService
     from repro.serve.telemetry import SLOConfig
 
-    args = _build_serve_parser().parse_args(argv)
     if args.port < 0:
-        print(f"error: --port must be >= 0, got {args.port}",
-              file=sys.stderr)
-        return 2
+        raise _UsageError(f"--port must be >= 0, got {args.port}")
     if args.trace:
         os.environ[trace.ENV_VAR] = "1"
     access_log = args.access_log
@@ -640,8 +524,7 @@ def _serve_main(argv: List[str]) -> int:
                              drain_seconds=args.drain_seconds,
                              retry_after=args.retry_after)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(str(exc)) from None
     # The parseable startup line the e2e tests and scripts wait for.
     print(f"serving on {server.url}", flush=True)
     if service.recovery:
@@ -657,9 +540,9 @@ def _serve_main(argv: List[str]) -> int:
     return run_server(server)
 
 
-def _build_replay_parser() -> argparse.ArgumentParser:
+def _build_replay_parser(prog: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="dphist replay",
+        prog=prog,
         description="Deterministic workload-trace replay against the "
                     "query service: same manifest + seed => identical "
                     "query-answer transcript; p50/p99 latency and "
@@ -726,30 +609,28 @@ def _build_replay_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _replay_chaos_main(args: "argparse.Namespace") -> int:
-    """The ``repro replay --chaos`` drill (see repro.serve.chaos)."""
-    from pathlib import Path
-
-    from repro.serve.chaos import run_chaos_replay
+def _load_manifest(path: str):
+    """Load a replay manifest, turning a missing or bad file into usage."""
     from repro.serve.replay import load_manifest
 
-    if args.state_dir is None:
-        print("error: --chaos requires --state-dir", file=sys.stderr)
-        return 2
-    if args.server is not None:
-        print("error: --chaos manages its own server; drop --server",
-              file=sys.stderr)
-        return 2
-    manifest_path = Path(args.manifest)
+    manifest_path = Path(path)
     if not manifest_path.exists():
-        print(f"error: manifest {manifest_path} does not exist",
-              file=sys.stderr)
-        return 2
+        raise _UsageError(f"manifest {manifest_path} does not exist")
     try:
-        manifest = load_manifest(manifest_path)
+        return load_manifest(manifest_path)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(str(exc)) from None
+
+
+def _replay_chaos(args: argparse.Namespace) -> int:
+    """The ``repro replay --chaos`` drill (see repro.serve.chaos)."""
+    from repro.serve.chaos import run_chaos_replay
+
+    if args.state_dir is None:
+        raise _UsageError("--chaos requires --state-dir")
+    if args.server is not None:
+        raise _UsageError("--chaos manages its own server; drop --server")
+    manifest = _load_manifest(args.manifest)
     try:
         report = run_chaos_replay(
             manifest, args.state_dir,
@@ -766,36 +647,17 @@ def _replay_chaos_main(args: "argparse.Namespace") -> int:
     return 0 if report.ok else 1
 
 
-def _replay_main(argv: List[str]) -> int:
-    """Entry point for ``python -m repro replay <manifest> ...``."""
+def _run_replay(args: argparse.Namespace) -> int:
+    """Replay a manifest against a fresh or a running server."""
     import json as json_mod
-    from pathlib import Path
 
     from repro.obs.metrics import MetricsRegistry
     from repro.robust.atomicio import atomic_write_text
-    from repro.serve.replay import (
-        load_manifest,
-        record_replay_metrics,
-        run_replay,
-    )
+    from repro.serve.replay import record_replay_metrics, run_replay
 
-    args = _build_replay_parser().parse_args(argv)
     if args.chaos:
-        return _replay_chaos_main(args)
-    manifest_path = Path(args.manifest)
-    if not manifest_path.exists():
-        print(f"error: manifest {manifest_path} does not exist",
-              file=sys.stderr)
-        return 2
-    try:
-        manifest = load_manifest(manifest_path)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.retries < 0:
-        print(f"error: --retries must be >= 0, got {args.retries}",
-              file=sys.stderr)
-        return 2
+        return _replay_chaos(args)
+    manifest = _load_manifest(args.manifest)
     previous_trace = None
     if args.trace:
         from repro.obs import trace
@@ -849,12 +711,12 @@ def _replay_main(argv: List[str]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The 'history' subcommand family (regression radar)
+# The 'history' command family (regression radar)
 # ---------------------------------------------------------------------------
 
-def _build_history_parser() -> argparse.ArgumentParser:
+def _build_history_parser(prog: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="dphist history",
+        prog=prog,
         description="Regression radar: ingest run artifacts into the "
                     "SQLite run-history store, detect accuracy/perf "
                     "drift against the closed-form error oracles, and "
@@ -929,23 +791,17 @@ def _build_history_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _history_main(argv: List[str]) -> int:
-    """Entry point for ``python -m repro history <subcommand> ...``."""
-    from pathlib import Path
-
+def _run_history(args: argparse.Namespace) -> int:
+    """Ingest into, or read drift/dashboards from, the history store."""
     from repro.exceptions import HistoryError
     from repro.obs.history import HistoryStore
 
-    args = _build_history_parser().parse_args(argv)
-
     if args.subcommand == "ingest":
-        missing = [s for s in args.sources if not Path(s).exists()]
-        if missing:
-            print(f"error: no such file(s): {', '.join(missing)}",
-                  file=sys.stderr)
-            return 2
         from repro.obs.history import sniff_source
 
+        missing = [s for s in args.sources if not Path(s).is_file()]
+        if missing:
+            raise _UsageError(f"no such file(s): {', '.join(missing)}")
         try:
             with HistoryStore(args.db) as store:
                 for source in args.sources:
@@ -961,14 +817,10 @@ def _history_main(argv: List[str]) -> int:
                         )
                         print(f"{source}: {utility.describe()}")
         except HistoryError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise _UsageError(str(exc)) from None
         return 0
 
-    if not Path(args.db).exists():
-        print(f"error: history store {args.db} does not exist "
-              "(ingest something first)", file=sys.stderr)
-        return 2
+    _require_store(args.db)
 
     if args.subcommand == "drift":
         import json as json_mod
@@ -1018,6 +870,10 @@ def _history_main(argv: List[str]) -> int:
     raise AssertionError(f"unhandled subcommand {args.subcommand!r}")
 
 
+# ---------------------------------------------------------------------------
+# The supervised sweeps: 'run' and 'scenarios'
+# ---------------------------------------------------------------------------
+
 def _ingest_sweep_history(args, specs, results, monitor, obs_metrics) -> None:
     """Append a finished sweep to the run-history store (``--history``).
 
@@ -1033,6 +889,7 @@ def _ingest_sweep_history(args, specs, results, monitor, obs_metrics) -> None:
     )
     from repro.robust.journal import spec_fingerprint
 
+    source = str(args.journal or "run")
     try:
         store = HistoryStore(args.history)
         try:
@@ -1058,23 +915,16 @@ def _ingest_sweep_history(args, specs, results, monitor, obs_metrics) -> None:
                         record, fingerprint, commit,
                         histogram=histogram, workloads=workloads,
                     ))
-            outcomes = [store.add_trials(
-                rows, source=str(args.journal or "run")
-            )]
+            outcomes = [store.add_trials(rows, source=source)]
             if utility_rows:
-                outcomes.append(store.add_utility(
-                    utility_rows, source=str(args.journal or "run"),
-                ))
+                outcomes.append(store.add_utility(utility_rows,
+                                                  source=source))
             outcomes.append(store.ingest_registry(
-                obs_metrics.get_registry(),
-                source=str(args.journal or "run"),
-                commit=commit,
+                obs_metrics.get_registry(), source=source, commit=commit,
             ))
             if monitor is not None and monitor.alerts:
                 outcomes.append(store.add_alerts(
-                    monitor.alerts,
-                    source=str(args.journal or "run"),
-                    commit=commit,
+                    monitor.alerts, source=source, commit=commit,
                 ))
             summary = "; ".join(o.describe() for o in outcomes)
             print(f"history: {args.history}: {summary}")
@@ -1084,10 +934,14 @@ def _ingest_sweep_history(args, specs, results, monitor, obs_metrics) -> None:
         print(f"warning: history ingest failed: {exc}", file=sys.stderr)
 
 
-def _run_sweep(args: argparse.Namespace) -> int:
-    """Fault-tolerant, journaled publisher sweep (the 'run' id)."""
-    import os
+def _sweep(args: argparse.Namespace, specs, title: Optional[str] = None) -> int:
+    """The sweep body 'run' and 'scenarios' share.
 
+    Runs ``specs`` under the supervised executor with the observer
+    stack, prints the sweep table and summary line, auto-ingests into
+    ``--history``, and lists quarantined trials (exit 1 when any).
+    """
+    from repro.experiments.tables import render_table
     from repro.obs import metrics as obs_metrics
     from repro.obs import trace as obs_trace
     from repro.obs.monitor import (
@@ -1098,48 +952,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
     )
     from repro.obs.resources import ENV_VAR as RESOURCE_ENV
     from repro.robust import faults
-    from repro.robust.sweep import build_sweep_specs, run_sweep, sweep_table
+    from repro.robust.sweep import run_sweep, sweep_table
 
-    if args.n_jobs != -1 and args.n_jobs < 1:
-        print(f"error: --n-jobs must be >= 1 or -1, got {args.n_jobs}",
-              file=sys.stderr)
-        return 2
-    if args.retries < 0:
-        print(f"error: --retries must be >= 0, got {args.retries}",
-              file=sys.stderr)
-        return 2
-    if args.timeout is not None and args.timeout <= 0:
-        print(f"error: --timeout must be > 0, got {args.timeout}",
-              file=sys.stderr)
-        return 2
-    if args.resume and not args.journal:
-        print("error: --resume requires --journal", file=sys.stderr)
-        return 2
-    if args.retry_failed and not args.resume:
-        print("error: --retry-failed requires --resume", file=sys.stderr)
-        return 2
-    try:
-        epsilons = [float(e) for e in args.epsilons.split(",") if e.strip()]
-    except ValueError:
-        print(f"error: bad --epsilons {args.epsilons!r}", file=sys.stderr)
-        return 2
-    publishers = (
-        [p.strip() for p in args.publishers.split(",") if p.strip()]
-        if args.publishers else None
-    )
-    try:
-        specs = build_sweep_specs(
-            dataset=args.dataset,
-            n_bins=args.bins_sweep,
-            total=args.total,
-            publishers=publishers,
-            epsilons=epsilons,
-            n_seeds=args.sweep_seeds,
-            n_jobs=args.n_jobs,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     # Observability wiring: tracing/probes activate via environment
     # variables so pool workers inherit them; supervisor-side events
     # flow through the observer stack.  RunStats is always on (it feeds
@@ -1160,8 +974,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
                 straggler_factor=args.straggler_factor,
             )
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise _UsageError(str(exc)) from None
         observers.append(monitor)
     if args.metrics_out or args.history:
         observers.append(MetricsObserver(obs_metrics.get_registry()))
@@ -1186,6 +999,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
             _write_metrics(obs_metrics.get_registry(), args.metrics_out)
 
     table, failures = sweep_table(results)
+    if title is not None:
+        table.title = title
     print(render_table(table))
     fault_hits = faults.total_hits() if os.environ.get(faults.ENV_VAR) \
         else None
@@ -1201,13 +1016,177 @@ def _run_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# The 'scenarios' / 'paper' subcommands (utility radar + publication)
-# ---------------------------------------------------------------------------
-
-def _build_scenarios_parser() -> argparse.ArgumentParser:
+def _build_run_parser(prog: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="dphist scenarios",
+        prog=prog,
+        description="Fault-tolerant, journaled publisher sweep under the "
+                    "supervised executor; --resume continues it "
+                    "bit-identically (docs/robustness.md).",
+    )
+    parser.add_argument("--n-jobs", type=int, default=1, metavar="N",
+                        help=_N_JOBS_HELP)
+    parser.add_argument(
+        "--dataset",
+        default="age",
+        help="sweep dataset: age, nettrace, searchlogs, socialnetwork",
+    )
+    parser.add_argument(
+        "--bins-sweep",
+        dest="bins_sweep",
+        type=int,
+        default=64,
+        metavar="N",
+        help="domain size of the sweep dataset",
+    )
+    parser.add_argument(
+        "--total",
+        type=int,
+        default=50_000,
+        help="total count of the sweep dataset",
+    )
+    parser.add_argument(
+        "--publishers",
+        default=None,
+        metavar="A,B,...",
+        help="comma-separated publisher roster (default: the paper's "
+             "comparison roster)",
+    )
+    parser.add_argument(
+        "--epsilons",
+        default="0.1,0.5",
+        metavar="E1,E2,...",
+        help="comma-separated epsilon grid",
+    )
+    parser.add_argument(
+        "--sweep-seeds",
+        dest="sweep_seeds",
+        type=int,
+        default=3,
+        metavar="N",
+        help="seeds per cell (0..N-1)",
+    )
+    parser.add_argument(
+        "--timeout",
+        type=float,
+        default=None,
+        metavar="S",
+        help="per-trial wall-clock budget in seconds; hung workers are "
+             "killed and the seed retried (needs --n-jobs > 1)",
+    )
+    parser.add_argument(
+        "--retries",
+        type=int,
+        default=2,
+        metavar="K",
+        help="failed-attempt budget per seed before quarantine "
+             "(exponential backoff between attempts)",
+    )
+    parser.add_argument(
+        "--backoff",
+        type=float,
+        default=0.5,
+        metavar="S",
+        help="base of the exponential retry delay",
+    )
+    parser.add_argument(
+        "--journal",
+        default=None,
+        metavar="PATH",
+        help="JSONL checkpoint journal; every completed trial is "
+             "appended atomically the moment it finishes",
+    )
+    parser.add_argument(
+        "--resume",
+        action="store_true",
+        help="load fingerprint-matching entries from --journal and run "
+             "only the missing seeds (bit-identical continuation)",
+    )
+    parser.add_argument(
+        "--retry-failed",
+        dest="retry_failed",
+        action="store_true",
+        help="with --resume: give journaled quarantined seeds fresh "
+             "attempts instead of keeping their FailedRecords (use "
+             "after fixing a transient failure, e.g. a worker OOM)",
+    )
+    parser.add_argument(
+        "--strict",
+        action="store_true",
+        help="fail fast on the first exhausted cell instead of "
+             "quarantining it into a FailedRecord",
+    )
+    parser.add_argument(
+        "--trace",
+        action="store_true",
+        help="record per-stage span trees inside every trial "
+             "(exported to workers via REPRO_TRACE; rides the journal "
+             "in timing-exempt meta, so results stay bit-identical)",
+    )
+    parser.add_argument(
+        "--trace-resources",
+        dest="trace_resources",
+        action="store_true",
+        help="also record tracemalloc peak + getrusage per trial "
+             "(REPRO_TRACE_RESOURCE; costs real time — attribution "
+             "runs only)",
+    )
+    parser.add_argument(
+        "--metrics-out",
+        dest="metrics_out",
+        default=None,
+        metavar="PATH",
+        help="write the metrics registry after the sweep: Prometheus "
+             "textfile-collector format, or JSON when PATH ends in "
+             ".json",
+    )
+    parser.add_argument(
+        "--progress",
+        choices=("none", "tty", "jsonl"),
+        default="none",
+        help="live progress on stderr: 'tty' = one rewritten status "
+             "line with ETA and stragglers, 'jsonl' = one JSON object "
+             "per executor event (default: none)",
+    )
+    parser.add_argument(
+        "--straggler-factor",
+        dest="straggler_factor",
+        type=float,
+        default=None,
+        metavar="F",
+        help="adaptive straggler threshold for --progress: flag a "
+             "seed after F x the mean completed-trial duration "
+             "(default: fixed 10s; env REPRO_STRAGGLER_FACTOR)",
+    )
+    parser.add_argument("--history", default=None, metavar="DB",
+                        help=_HISTORY_HELP)
+    return parser
+
+
+def _run_sweep(args: argparse.Namespace) -> int:
+    """Fault-tolerant, journaled publisher sweep (the 'run' command)."""
+    from repro.robust.sweep import build_sweep_specs
+
+    if args.retry_failed and not args.resume:
+        raise _UsageError("--retry-failed requires --resume")
+    epsilons = _epsilons(args.epsilons)
+    try:
+        specs = build_sweep_specs(
+            dataset=args.dataset,
+            n_bins=args.bins_sweep,
+            total=args.total,
+            publishers=_csv(args.publishers),
+            epsilons=epsilons,
+            n_seeds=args.sweep_seeds,
+            n_jobs=args.n_jobs,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    return _sweep(args, specs)
+
+
+def _build_scenarios_parser(prog: str) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog=prog,
         description="Run DPBench-grade scenario families — dataset "
                     "shape x domain size x workload battery — through "
                     "the supervised executor, journal the trials, and "
@@ -1226,11 +1205,11 @@ def _build_scenarios_parser() -> argparse.ArgumentParser:
     parser.add_argument("--publishers", default=None, metavar="A,B,...",
                         help="comma-separated publisher roster "
                              "(default: the figure roster)")
-    parser.add_argument("--epsilons", default="0.1,1.0",
+    parser.add_argument("--epsilons", default=None,
                         metavar="E1,E2,...",
                         help="comma-separated epsilon grid "
                              "(default 0.1,1.0)")
-    parser.add_argument("--seeds", type=int, default=3, metavar="N",
+    parser.add_argument("--seeds", type=int, default=None, metavar="N",
                         help="seeds per cell (default 3)")
     parser.add_argument("--quick", action="store_true",
                         help="shrink to 2 seeds, eps=1.0, and the "
@@ -1255,104 +1234,52 @@ def _build_scenarios_parser() -> argparse.ArgumentParser:
                         help="run-history store: auto-ingest trial rows "
                              "AND per-workload utility rows (the "
                              "utility radar's data feed)")
+    # The 'run'-only sweep knobs, fixed at the executor's defaults.
+    parser.set_defaults(backoff=0.5, retry_failed=False, strict=False,
+                        trace=False, trace_resources=False,
+                        metrics_out=None, progress="none",
+                        straggler_factor=None)
     return parser
 
 
-def _scenarios_main(argv: List[str]) -> int:
-    """Entry point for ``python -m repro scenarios ...``."""
-    from repro.obs import metrics as obs_metrics
-    from repro.obs.monitor import MetricsObserver, MultiObserver, RunStats
-    from repro.robust.sweep import run_sweep, sweep_table
+def _run_scenarios(args: argparse.Namespace) -> int:
+    """Sweep the scenario families (the 'scenarios' command)."""
     from repro.scenarios import build_scenario_specs, list_scenarios
 
-    args = _build_scenarios_parser().parse_args(argv)
     if args.list_scenarios:
         for scenario in list_scenarios():
             battery = len(scenario.workload_specs)
             print(f"{scenario.name:28s} n={scenario.n_bins:<5d} "
                   f"workloads={battery:<3d} {scenario.description}")
         return 0
-    if args.n_jobs != -1 and args.n_jobs < 1:
-        print(f"error: --n-jobs must be >= 1 or -1, got {args.n_jobs}",
-              file=sys.stderr)
-        return 2
-    if args.resume and not args.journal:
-        print("error: --resume requires --journal", file=sys.stderr)
-        return 2
+    # The one place the effective defaults live; explicit values win.
+    if args.epsilons is None:
+        args.epsilons = "1.0" if args.quick else "0.1,1.0"
+    if args.seeds is None:
+        args.seeds = 2 if args.quick else 3
+    epsilons = _epsilons(args.epsilons)
+    names = _csv(args.scenarios) or []
     try:
-        epsilons = [float(e) for e in args.epsilons.split(",")
-                    if e.strip()]
-    except ValueError:
-        print(f"error: bad --epsilons {args.epsilons!r}", file=sys.stderr)
-        return 2
-    publishers = (
-        [p.strip() for p in args.publishers.split(",") if p.strip()]
-        if args.publishers else None
-    )
-    names = (
-        [s.strip() for s in args.scenarios.split(",") if s.strip()]
-        if args.scenarios else []
-    )
-    if args.families:
-        families = [f.strip() for f in args.families.split(",")
-                    if f.strip()]
-        try:
-            for family in families:
-                names.extend(s.name for s in list_scenarios(family))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    names = list(dict.fromkeys(names))  # dedup, keep order
-    seeds = args.seeds
-    if args.quick:
-        seeds = min(seeds, 2)
-        if args.epsilons == "0.1,1.0":
-            epsilons = [1.0]
-        if not names:
-            names = [s.name for s in list_scenarios()
-                     if s.n_bins <= 64]
-    try:
+        for family in _csv(args.families) or []:
+            names.extend(s.name for s in list_scenarios(family))
+        names = list(dict.fromkeys(names))  # dedup, keep order
+        if args.quick and not names:
+            names = [s.name for s in list_scenarios() if s.n_bins <= 64]
         specs = build_scenario_specs(
             scenarios=names or None,
-            publishers=publishers,
+            publishers=_csv(args.publishers),
             epsilons=epsilons,
-            n_seeds=seeds,
+            n_seeds=args.seeds,
             n_jobs=args.n_jobs,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    stats = RunStats()
-    observers = [stats]
-    if args.history:
-        observers.append(MetricsObserver(obs_metrics.get_registry()))
-    results = run_sweep(
-        specs,
-        n_jobs=args.n_jobs,
-        timeout=args.timeout,
-        retries=args.retries,
-        journal=args.journal,
-        resume=args.resume,
-        observer=MultiObserver(observers),
-    )
-    table, failures = sweep_table(results)
-    table.title = "scenario sweep"
-    print(render_table(table))
-    print(stats.summary_line())
-    if args.history:
-        _ingest_sweep_history(args, specs, results, None, obs_metrics)
-    if failures:
-        print()
-        print(f"{len(failures)} quarantined trial(s):")
-        for failed in failures:
-            print(f"  {failed.describe()}")
-        return 1
-    return 0
+        raise _UsageError(str(exc)) from None
+    return _sweep(args, specs, title="scenario sweep")
 
 
-def _build_paper_parser() -> argparse.ArgumentParser:
+def _build_paper_parser(prog: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="dphist paper",
+        prog=prog,
         description="Render the repro-paper publication bundle — "
                     "markdown + LaTeX tables and SVG crossover figures "
                     "— deterministically from the run-history store "
@@ -1368,23 +1295,16 @@ def _build_paper_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _paper_main(argv: List[str]) -> int:
-    """Entry point for ``python -m repro paper ...``."""
-    from pathlib import Path
-
+def _run_paper(args: argparse.Namespace) -> int:
+    """Render the publication bundle from the history store."""
     from repro.exceptions import HistoryError
     from repro.experiments.paper import generate_paper
 
-    args = _build_paper_parser().parse_args(argv)
-    if not Path(args.db).exists():
-        print(f"error: history store {args.db} does not exist "
-              "(ingest something first)", file=sys.stderr)
-        return 2
+    _require_store(args.db)
     try:
         result = generate_paper(args.db, args.out)
     except HistoryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(str(exc)) from None
     for path in result.written:
         print(f"wrote {path}")
     for name in sorted(result.skipped):
@@ -1394,69 +1314,54 @@ def _paper_main(argv: List[str]) -> int:
     return 0 if result.ok else 1
 
 
+# ---------------------------------------------------------------------------
+# Dispatch
+# ---------------------------------------------------------------------------
+
+_Command = Tuple[Callable[[str], argparse.ArgumentParser],
+                 Callable[[argparse.Namespace], int]]
+
+#: First token -> (parser builder, body).  Any other first token is an
+#: experiment id (or ``all``), checked against the registry when it runs.
+_COMMANDS: Dict[str, _Command] = {
+    "verify": (_build_verify_parser, _run_verify),
+    "bench": (_build_bench_parser, _run_bench),
+    "run": (_build_run_parser, _run_sweep),
+    "report": (_build_report_parser, _run_report),
+    "history": (_build_history_parser, _run_history),
+    "serve": (_build_serve_parser, _run_serve),
+    "replay": (_build_replay_parser, _run_replay),
+    "scenarios": (_build_scenarios_parser, _run_scenarios),
+    "paper": (_build_paper_parser, _run_paper),
+}
+_EXPERIMENT: _Command = (_build_experiment_parser, _run_experiments)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     raw = list(argv) if argv is not None else sys.argv[1:]
-    if raw and raw[0] == "history":
-        return _history_main(raw[1:])
-    if raw and raw[0] == "serve":
-        return _serve_main(raw[1:])
-    if raw and raw[0] == "replay":
-        return _replay_main(raw[1:])
-    if raw and raw[0] == "scenarios":
-        return _scenarios_main(raw[1:])
-    if raw and raw[0] == "paper":
-        return _paper_main(raw[1:])
+    if not raw or raw[0].startswith("-"):
+        parser = _build_top_parser()
+        if not parser.parse_args(raw).list_experiments:
+            parser.print_help()
+            return 2
+        from repro.experiments.registry import list_experiments
 
-    parser = _build_parser()
-    args = parser.parse_args(raw)
-
-    if args.list_experiments:
         for name in list_experiments():
             print(name)
         return 0
 
-    if not args.experiment:
-        parser.print_help()
+    command, rest = raw[0], raw[1:]
+    build_parser, run = _COMMANDS.get(command, _EXPERIMENT)
+    parser = build_parser(f"dphist {command}")
+    parser.set_defaults(command=command)
+    args = parser.parse_args(rest)
+    try:
+        _check_shared_flags(args)
+        return run(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.experiment == "verify":
-        return _run_verify(args)
-
-    if args.experiment == "run":
-        return _run_sweep(args)
-
-    if args.experiment == "report":
-        return _run_report(args)
-
-    if args.experiment == "bench":
-        from repro.perf.bench import run_bench
-
-        return run_bench(
-            quick=args.quick,
-            check=args.check,
-            output_dir=args.output_dir,
-            history=args.history,
-            profile=args.profile,
-            max_n=args.max_n,
-        )
-
-    if args.n_jobs != -1 and args.n_jobs < 1:
-        print(f"error: --n-jobs must be >= 1 or -1, got {args.n_jobs}",
-              file=sys.stderr)
-        return 2
-
-    names = list_experiments() if args.experiment == "all" else [args.experiment]
-    for name in names:
-        try:
-            tables = run_experiment(name, quick=args.quick, n_jobs=args.n_jobs)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-        for table in tables:
-            print(render_table(table))
-            print()
-    return 0
 
 
 if __name__ == "__main__":

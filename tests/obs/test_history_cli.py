@@ -42,6 +42,11 @@ class TestIngest:
                      "--db", str(tmp_path / "h.sqlite")]) == 2
         assert "no such file" in capsys.readouterr().err
 
+    def test_directory_source_is_an_error(self, tmp_path, capsys):
+        assert main(["history", "ingest", str(tmp_path),
+                     "--db", str(tmp_path / "h.sqlite")]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_unclassifiable_source_is_an_error(self, tmp_path, capsys):
         junk = tmp_path / "junk.txt"
         junk.write_text("not an artifact\n")

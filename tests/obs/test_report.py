@@ -119,6 +119,17 @@ class TestReportCli:
         assert "needs a journal path" in capsys.readouterr().err
 
 
+    def test_missing_history_store_is_an_error(self, journal, tmp_path,
+                                                capsys):
+        from repro.cli import main
+
+        db = tmp_path / "nope.sqlite"
+        assert main(["report", str(journal.path),
+                     "--history", str(db)]) == 2
+        assert "does not exist" in capsys.readouterr().err
+        assert not db.exists()
+
+
 class TestHistoryDeltas:
     @pytest.fixture
     def store_path(self, tmp_path, journal, monkeypatch):

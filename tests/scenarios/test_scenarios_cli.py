@@ -37,6 +37,22 @@ class TestScenariosCLI:
         assert main(["scenarios", "--resume"]) == 2
         assert "--resume requires --journal" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--retries", "-1"), ("--timeout", "0"),
+    ])
+    def test_bad_option_values_exit_two(self, flag, value, capsys):
+        assert main(SCENARIO_ARGS + [flag, value]) == 2
+        assert flag in capsys.readouterr().err
+
+    def test_quick_keeps_explicit_epsilons_and_seeds(self, capsys):
+        assert main(["scenarios", "--quick", "--scenarios",
+                     "smooth/gmm-64", "--publishers", "dwork",
+                     "--epsilons", "0.1,1.0", "--seeds", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "scenario/smooth/gmm-64/dwork/eps=0.1" in out
+        assert "scenario/smooth/gmm-64/dwork/eps=1" in out
+        assert "summary: 6 ok" in out
+
     def test_run_ingests_trials_and_utility(self, tmp_path, capsys,
                                             monkeypatch):
         monkeypatch.setenv("REPRO_COMMIT", "c1")

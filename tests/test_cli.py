@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _COMMANDS, main
 
 
 class TestCli:
@@ -66,3 +66,26 @@ class TestRunSweepCli:
         capsys.readouterr()
         assert main(self.SWEEP + ["--journal", journal, "--resume"]) == 0
         assert "sweep/age/dwork/eps=0.5" in capsys.readouterr().out
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize(
+        "command", sorted(_COMMANDS) + ["table1", "all"]
+    )
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert f"dphist {command}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--journal", "x"],
+        ["verify", "--n-jobs", "2"],
+        ["report", "--check"],
+        ["bench", "--journal", "x"],
+    ])
+    def test_flag_of_another_command_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
