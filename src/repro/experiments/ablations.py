@@ -6,6 +6,7 @@ StructureFirst / Boost and quantifies what it buys.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List
 
 import numpy as np
@@ -13,6 +14,7 @@ import numpy as np
 from repro.baselines import Boost, DworkIdentity
 from repro.core import NoiseFirst, StructureFirst
 from repro.datasets.standard import searchlogs
+from repro.experiments.figures import _cell, _mean, _seeds
 from repro.experiments.tables import Table
 from repro.metrics.divergences import kl_divergence
 from repro.metrics.evaluate import evaluate_workload_error
@@ -29,11 +31,7 @@ __all__ = [
 ]
 
 
-def _seeds(quick: bool) -> List[int]:
-    return list(range(3 if quick else 10))
-
-
-def abl_nf_kstar(quick: bool = False) -> List[Table]:
+def abl_nf_kstar(quick: bool = False, n_jobs: int = 1) -> List[Table]:
     """NoiseFirst's adaptive k* vs fixed k vs the (non-private) oracle k.
 
     The oracle evaluates every candidate k against the *true* counts and
@@ -52,21 +50,14 @@ def abl_nf_kstar(quick: bool = False) -> List[Table]:
               "adaptive must estimate it from noisy data alone",
     )
     for k in fixed_ks:
-        values = []
-        for seed in seeds:
-            result = NoiseFirst(k=k).publish(hist, budget=eps, rng=seed)
-            values.append(evaluate_workload_error(hist, result.histogram, unit).mse)
-        table.add_row(f"fixed k={k}", float(np.mean(values)), k)
+        records = _cell(f"nf_kstar/k={k}", hist, partial(NoiseFirst, k=k),
+                        eps, [unit], seeds, n_jobs)
+        table.add_row(f"fixed k={k}", _mean(records, "unit"), k)
 
-    adaptive_vals, adaptive_ks = [], []
-    for seed in seeds:
-        result = NoiseFirst().publish(hist, budget=eps, rng=seed)
-        adaptive_vals.append(
-            evaluate_workload_error(hist, result.histogram, unit).mse
-        )
-        adaptive_ks.append(result.meta["k"])
-    table.add_row("adaptive k*", float(np.mean(adaptive_vals)),
-                  int(np.median(adaptive_ks)))
+    records = _cell("nf_kstar/adaptive", hist, NoiseFirst, eps, [unit],
+                    seeds, n_jobs)
+    table.add_row("adaptive k*", _mean(records, "unit"),
+                  int(np.median([r.meta["k"] for r in records])))
 
     oracle_vals, oracle_ks = [], []
     max_k = 128
@@ -91,7 +82,7 @@ def abl_nf_kstar(quick: bool = False) -> List[Table]:
     return [table]
 
 
-def abl_sf_sampling(quick: bool = False) -> List[Table]:
+def abl_sf_sampling(quick: bool = False, n_jobs: int = 1) -> List[Table]:
     """StructureFirst structure policies: EM vs equi-width vs oracle.
 
     Quantifies how much the exponential-mechanism boundary sampling buys
@@ -100,8 +91,7 @@ def abl_sf_sampling(quick: bool = False) -> List[Table]:
     """
     hist = searchlogs(n_bins=256, total=100_000)
     n = hist.size
-    unit = unit_queries(n)
-    long_w = fixed_length_ranges(n, n // 4)
+    workloads = [unit_queries(n), fixed_length_ranges(n, n // 4)]
     seeds = _seeds(quick)
     table = Table(
         title="abl_sf_sampling [searchlogs]: SF structure policy vs epsilon",
@@ -111,28 +101,19 @@ def abl_sf_sampling(quick: bool = False) -> List[Table]:
     )
     for eps in [0.05, 0.5]:
         for mode in ("em", "uniform", "oracle"):
-            unit_vals, range_vals = [], []
-            for seed in seeds:
-                result = StructureFirst(structure_mode=mode).publish(
-                    hist, budget=eps, rng=seed
-                )
-                unit_vals.append(
-                    evaluate_workload_error(hist, result.histogram, unit).mse
-                )
-                range_vals.append(
-                    evaluate_workload_error(hist, result.histogram, long_w).mse
-                )
-            table.add_row(eps, mode, float(np.mean(unit_vals)),
-                          float(np.mean(range_vals)))
+            records = _cell(f"sf_sampling/{mode}/{eps:g}", hist,
+                            partial(StructureFirst, structure_mode=mode),
+                            eps, workloads, seeds, n_jobs)
+            table.add_row(eps, mode, _mean(records, "unit"),
+                          _mean(records, workloads[1].name))
     return [table]
 
 
-def abl_consistency(quick: bool = False) -> List[Table]:
+def abl_consistency(quick: bool = False, n_jobs: int = 1) -> List[Table]:
     """Boost with vs without the least-squares consistency step."""
     hist = searchlogs(n_bins=256, total=100_000)
     n = hist.size
-    unit = unit_queries(n)
-    long_w = fixed_length_ranges(n, n // 4)
+    workloads = [unit_queries(n), fixed_length_ranges(n, n // 4)]
     seeds = _seeds(quick)
     table = Table(
         title="abl_consistency [searchlogs]: Boost consistency on/off",
@@ -142,23 +123,16 @@ def abl_consistency(quick: bool = False) -> List[Table]:
     )
     for eps in [0.05, 0.5]:
         for consistency in (True, False):
-            unit_vals, range_vals = [], []
-            for seed in seeds:
-                result = Boost(consistency=consistency).publish(
-                    hist, budget=eps, rng=seed
-                )
-                unit_vals.append(
-                    evaluate_workload_error(hist, result.histogram, unit).mse
-                )
-                range_vals.append(
-                    evaluate_workload_error(hist, result.histogram, long_w).mse
-                )
-            table.add_row(eps, "on" if consistency else "off",
-                          float(np.mean(unit_vals)), float(np.mean(range_vals)))
+            label = "on" if consistency else "off"
+            records = _cell(f"consistency/{label}/{eps:g}", hist,
+                            partial(Boost, consistency=consistency),
+                            eps, workloads, seeds, n_jobs)
+            table.add_row(eps, label, _mean(records, "unit"),
+                          _mean(records, workloads[1].name))
     return [table]
 
 
-def abl_shape_prior(quick: bool = False) -> List[Table]:
+def abl_shape_prior(quick: bool = False, n_jobs: int = 1) -> List[Table]:
     """Isotonic (monotone-decreasing) projection on degree-style data.
 
     Degree distributions are publicly known to decay, so projecting the
@@ -200,7 +174,7 @@ def abl_shape_prior(quick: bool = False) -> List[Table]:
     return [table]
 
 
-def abl_postprocess(quick: bool = False) -> List[Table]:
+def abl_postprocess(quick: bool = False, n_jobs: int = 1) -> List[Table]:
     """Effect of non-negativity clamping + rescaling on each publisher."""
     hist = searchlogs(n_bins=256, total=100_000)
     n = hist.size

@@ -12,6 +12,7 @@ from typing import List
 
 import numpy as np
 
+from repro.experiments.figures import _cell, _mean, _seeds
 from repro.experiments.tables import Table
 from repro.hist.histogram import Histogram
 from repro.spatial.histogram2d import Histogram2D
@@ -27,13 +28,12 @@ from repro.streaming.release import ThresholdStream, UniformStream
 __all__ = ["ext_spatial", "ext_streaming", "ext_successors", "abl_error_model"]
 
 
-def ext_successors(quick: bool = False) -> List[Table]:
+def ext_successors(quick: bool = False, n_jobs: int = 1) -> List[Table]:
     """NF / SF / AHP / DAWA-lite head-to-head (the successor comparison)."""
     from repro.baselines.ahp import Ahp
     from repro.baselines.dawa import DawaLite
     from repro.core import NoiseFirst, StructureFirst
     from repro.datasets.standard import nettrace, searchlogs
-    from repro.metrics.evaluate import evaluate_workload_error
     from repro.workloads.builders import fixed_length_ranges, unit_queries
 
     datasets = {
@@ -41,7 +41,7 @@ def ext_successors(quick: bool = False) -> List[Table]:
                                  total=100_000),
         "nettrace": nettrace(n_bins=256 if quick else 512, total=100_000),
     }
-    seeds = range(3 if quick else 10)
+    seeds = _seeds(quick)
     publishers = {"noisefirst": NoiseFirst, "structurefirst": StructureFirst,
                   "ahp": Ahp, "dawa-lite": DawaLite}
     table = Table(
@@ -51,24 +51,18 @@ def ext_successors(quick: bool = False) -> List[Table]:
               "position; sparse data favours AHP's thresholding",
     )
     for ds_name, hist in datasets.items():
-        unit = unit_queries(hist.size)
-        long_w = fixed_length_ranges(hist.size, hist.size // 2)
+        workloads = [unit_queries(hist.size),
+                     fixed_length_ranges(hist.size, hist.size // 2)]
         for eps in [0.02, 0.1]:
             for pub_name, factory in publishers.items():
-                unit_vals, range_vals = [], []
-                for seed in seeds:
-                    result = factory().publish(hist, budget=eps, rng=seed)
-                    unit_vals.append(evaluate_workload_error(
-                        hist, result.histogram, unit).mse)
-                    range_vals.append(evaluate_workload_error(
-                        hist, result.histogram, long_w).mse)
-                table.add_row(ds_name, eps, pub_name,
-                              float(np.mean(unit_vals)),
-                              float(np.mean(range_vals)))
+                records = _cell(f"successors/{ds_name}/{pub_name}/{eps:g}",
+                                hist, factory, eps, workloads, seeds, n_jobs)
+                table.add_row(ds_name, eps, pub_name, _mean(records, "unit"),
+                              _mean(records, workloads[1].name))
     return [table]
 
 
-def abl_error_model(quick: bool = False) -> List[Table]:
+def abl_error_model(quick: bool = False, n_jobs: int = 1) -> List[Table]:
     """Closed-form noise-variance predictions vs Monte Carlo measurement.
 
     Validates :mod:`repro.analysis.variance` on the real publishers with
@@ -93,23 +87,17 @@ def abl_error_model(quick: bool = False) -> List[Table]:
         headers=["quantity", "predicted", "measured", "ratio"],
     )
 
-    measured = np.var(
-        [DworkIdentity().publish(zero, budget=eps, rng=s).histogram.counts
-         for s in range(reps)],
-        axis=0,
-    ).mean()
-    predicted = dwork_unit_variance(eps)
-    table.add_row("dwork unit", predicted, float(measured),
-                  float(measured / predicted))
-
-    measured = np.var(
-        [Privelet().publish(zero, budget=eps, rng=s).histogram.counts
-         for s in range(reps)],
-        axis=0,
-    ).mean()
-    predicted = privelet_unit_variance(n, eps)
-    table.add_row("privelet unit", predicted, float(measured),
-                  float(measured / predicted))
+    for label, factory, predicted in (
+        ("dwork unit", DworkIdentity, dwork_unit_variance(eps)),
+        ("privelet unit", Privelet, privelet_unit_variance(n, eps)),
+    ):
+        measured = np.var(
+            [factory().publish(zero, budget=eps, rng=s).histogram.counts
+             for s in range(reps)],
+            axis=0,
+        ).mean()
+        table.add_row(label, predicted, float(measured),
+                      float(measured / predicted))
 
     # SF with a pinned uniform structure so the partition is frozen.
     sf = StructureFirst(k=16, structure_mode="uniform")
@@ -144,7 +132,7 @@ def _cluster_grid(side: int, total: int) -> Histogram2D:
                                    bounds=(0, 1, 0, 1), name="clusters")
 
 
-def ext_spatial(quick: bool = False) -> List[Table]:
+def ext_spatial(quick: bool = False, n_jobs: int = 1) -> List[Table]:
     """Rectangle-query MSE of the 2-D publishers across epsilon.
 
     Includes a Hilbert-flattened NoiseFirst arm — the paper's 1-D
@@ -181,10 +169,10 @@ def ext_spatial(quick: bool = False) -> List[Table]:
     return [table]
 
 
-def ext_streaming(quick: bool = False) -> List[Table]:
+def ext_streaming(quick: bool = False, n_jobs: int = 1) -> List[Table]:
     """Uniform vs threshold streaming release across drift regimes."""
     n_bins, n_steps, w, eps = 32, 40, 10, 1.0
-    seeds = range(3 if quick else 10)
+    seeds = _seeds(quick)
     table = Table(
         title=f"ext_streaming [n={n_bins}, T={n_steps}, w={w}, eps={eps}]",
         headers=["drift", "strategy", "mean MSE", "eps total",

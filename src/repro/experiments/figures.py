@@ -9,28 +9,33 @@ full configuration recorded in EXPERIMENTS.md.
 
 All randomness is seeded: re-running an experiment reproduces its tables
 bit-for-bit.
+
+Every publisher cell runs through :func:`_cell` — an
+:class:`~repro.experiments.spec.ExperimentSpec` handed to
+:func:`~repro.experiments.runner.run_matrix` — so ``n_jobs`` fans the
+seeds of any cell out over a process pool without changing a number.
+The ablation and extension modules share the same helper.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
-from repro.baselines import Boost, DworkIdentity, Privelet
 from repro.core import NoiseFirst, StructureFirst
 from repro.core.kselect import smoothness_profile
-from repro.core.publisher import Publisher
 from repro.datasets import registry as dataset_registry
 from repro.datasets.generators import step_histogram
-from repro.datasets.standard import age, nettrace, searchlogs, socialnetwork
+from repro.datasets.standard import age, searchlogs
 from repro.experiments.aggregate import aggregate_records
-from repro.experiments.runner import run_matrix, run_once
-from repro.experiments.spec import ExperimentSpec
+from repro.experiments.runner import RunRecord, run_matrix, run_once
+from repro.experiments.spec import ROSTER, ExperimentSpec, PublisherFactory
 from repro.experiments.tables import Table
 from repro.hist.histogram import Histogram
-from repro.metrics.evaluate import evaluate_workload_error
 from repro.workloads.builders import fixed_length_ranges, unit_queries
+from repro.workloads.workload import Workload
 
 __all__ = [
     "table1_datasets",
@@ -44,19 +49,6 @@ __all__ = [
     "fig_smoothness",
     "fig_data_scale",
 ]
-
-PublisherFactory = Callable[[], Publisher]
-
-#: The paper's comparison roster: its two algorithms plus the three
-#: published baselines it was evaluated against.
-ROSTER: Dict[str, PublisherFactory] = {
-    "dwork": DworkIdentity,
-    "noisefirst": NoiseFirst,
-    "structurefirst": StructureFirst,
-    "boost": Boost,
-    "privelet": Privelet,
-}
-
 
 def _datasets(quick: bool) -> Dict[str, Histogram]:
     """Evaluation datasets, shrunk in quick mode for bench runtimes."""
@@ -79,11 +71,41 @@ def _seeds(quick: bool) -> List[int]:
     return list(range(3 if quick else 10))
 
 
+def _cell(
+    name: str,
+    hist: Histogram,
+    factory: PublisherFactory,
+    eps: float,
+    workloads: Sequence[Workload],
+    seeds: Sequence[int],
+    n_jobs: int,
+) -> List[RunRecord]:
+    """One publisher cell: every seed through the supervised trial path.
+
+    Pass a class or a :func:`functools.partial` as ``factory`` (not a
+    lambda) so the spec pickles and ``n_jobs > 1`` really runs parallel.
+    """
+    return run_matrix(ExperimentSpec(
+        name=name,
+        histogram=hist,
+        publisher_factory=factory,
+        epsilon=eps,
+        workloads=tuple(workloads),
+        seeds=tuple(seeds),
+        n_jobs=n_jobs,
+    ))
+
+
+def _mean(records: List[RunRecord], workload: str, metric: str = "mse") -> float:
+    """Seed mean of one workload metric over a cell's records."""
+    return aggregate_records(records, lambda r: r.metric(workload, metric)).mean
+
+
 # ---------------------------------------------------------------------------
 # table1: dataset statistics
 # ---------------------------------------------------------------------------
 
-def table1_datasets(quick: bool = False) -> List[Table]:
+def table1_datasets(quick: bool = False, n_jobs: int = 1) -> List[Table]:
     """Dataset summary statistics (paper's dataset table)."""
     table = Table(
         title="table1: evaluation datasets",
@@ -108,43 +130,42 @@ def table1_datasets(quick: bool = False) -> List[Table]:
 # fig_point_vs_eps: unit-query MSE vs epsilon
 # ---------------------------------------------------------------------------
 
+def _vs_eps(
+    figure: str, label: str, quick: bool, n_jobs: int, unit: bool,
+    extract: Callable[[RunRecord], float],
+) -> List[Table]:
+    """One table per dataset: seed mean of ``extract`` per epsilon x publisher.
+
+    ``unit`` adds the unit-query workload to every cell.
+    """
+    tables = []
+    seeds = _seeds(quick)
+    for ds_name, hist in _datasets(quick).items():
+        workloads = [unit_queries(hist.size)] if unit else []
+        table = Table(
+            title=f"{figure} [{ds_name}]: {label} vs epsilon",
+            headers=["epsilon"] + list(ROSTER),
+        )
+        for eps in _eps_grid(quick):
+            row: List[object] = [eps]
+            for pub_name, factory in ROSTER.items():
+                records = _cell(f"{figure}/{ds_name}/{pub_name}/{eps:g}",
+                                hist, factory, eps, workloads, seeds, n_jobs)
+                row.append(aggregate_records(records, extract).mean)
+            table.add_row(*row)
+        tables.append(table)
+    return tables
+
+
 def fig_point_vs_eps(quick: bool = False, n_jobs: int = 1) -> List[Table]:
     """MSE of unit-length (point) queries vs epsilon, per dataset.
 
     Expected shape: NoiseFirst tracks or beats Dwork everywhere and wins
     clearly once noise dominates (small epsilon); the tree/wavelet/
     structure publishers pay their overhead and lose on points.
-
-    ``n_jobs`` fans the seed repetitions of each cell out over a process
-    pool via :func:`~repro.experiments.runner.run_matrix`; results are
-    bit-identical to the serial run.
     """
-    tables = []
-    seeds = tuple(_seeds(quick))
-    for ds_name, hist in _datasets(quick).items():
-        unit = unit_queries(hist.size)
-        table = Table(
-            title=f"fig_point_vs_eps [{ds_name}]: unit-query MSE vs epsilon",
-            headers=["epsilon"] + list(ROSTER),
-        )
-        for eps in _eps_grid(quick):
-            row: List[object] = [eps]
-            for pub_name, factory in ROSTER.items():
-                spec = ExperimentSpec(
-                    name=f"point_vs_eps/{ds_name}/{pub_name}/{eps:g}",
-                    histogram=hist,
-                    publisher_factory=factory,
-                    epsilon=eps,
-                    workloads=(unit,),
-                    seeds=seeds,
-                    n_jobs=n_jobs,
-                )
-                records = run_matrix(spec)
-                agg = aggregate_records(records, lambda r: r.metric("unit", "mse"))
-                row.append(agg.mean)
-            table.add_row(*row)
-        tables.append(table)
-    return tables
+    return _vs_eps("fig_point_vs_eps", "unit-query MSE", quick, n_jobs, True,
+                   lambda r: r.metric("unit", "mse"))
 
 
 # ---------------------------------------------------------------------------
@@ -152,19 +173,17 @@ def fig_point_vs_eps(quick: bool = False, n_jobs: int = 1) -> List[Table]:
 # ---------------------------------------------------------------------------
 
 def _range_sweep(
-    hist: Histogram, eps: float, lengths: Sequence[int], seeds: Sequence[int]
+    name: str, hist: Histogram, eps: float, lengths: Sequence[int],
+    seeds: Sequence[int], n_jobs: int,
 ) -> Dict[str, Dict[int, float]]:
-    """mean range-MSE per publisher per length; one publish per seed."""
+    """Mean range-MSE per publisher per length; one cell per publisher."""
     workloads = [fixed_length_ranges(hist.size, length) for length in lengths]
     out: Dict[str, Dict[int, float]] = {}
-    for name, factory in ROSTER.items():
-        per_len: Dict[int, List[float]] = {length: [] for length in lengths}
-        for seed in seeds:
-            result = factory().publish(hist, budget=eps, rng=seed)
-            for length, workload in zip(lengths, workloads):
-                errors = evaluate_workload_error(hist, result.histogram, workload)
-                per_len[length].append(errors.mse)
-        out[name] = {length: float(np.mean(v)) for length, v in per_len.items()}
+    for pub_name, factory in ROSTER.items():
+        records = _cell(f"{name}/{pub_name}", hist, factory, eps, workloads,
+                        seeds, n_jobs)
+        out[pub_name] = {length: _mean(records, f"len-{length}")
+                         for length in lengths}
     return out
 
 
@@ -179,7 +198,7 @@ def _sweep_lengths(n: int) -> List[int]:
     return lengths
 
 
-def fig_range_vs_len(quick: bool = False) -> List[Table]:
+def fig_range_vs_len(quick: bool = False, n_jobs: int = 1) -> List[Table]:
     """MSE of fixed-length range queries vs length at fixed epsilon.
 
     Expected shape: Dwork/NoiseFirst grow linearly in the length;
@@ -188,7 +207,8 @@ def fig_range_vs_len(quick: bool = False) -> List[Table]:
     hist = searchlogs(n_bins=512 if quick else 1024, total=100_000)
     eps = 0.01
     lengths = _sweep_lengths(hist.size)
-    sweep = _range_sweep(hist, eps, lengths, _seeds(quick))
+    sweep = _range_sweep("range_vs_len/searchlogs", hist, eps, lengths,
+                         _seeds(quick), n_jobs)
     table = Table(
         title=f"fig_range_vs_len [searchlogs, eps={eps}]: range MSE vs length",
         headers=["length"] + list(ROSTER),
@@ -205,41 +225,16 @@ def fig_range_vs_len(quick: bool = False) -> List[Table]:
 # ---------------------------------------------------------------------------
 
 def fig_kl_vs_eps(quick: bool = False, n_jobs: int = 1) -> List[Table]:
-    """KL(truth || published) vs epsilon per dataset.
-
-    Seed repetitions run through :func:`run_matrix`, so ``n_jobs > 1``
-    parallelizes each cell without changing any reported number.
-    """
-    tables = []
-    seeds = tuple(_seeds(quick))
-    for ds_name, hist in _datasets(quick).items():
-        table = Table(
-            title=f"fig_kl_vs_eps [{ds_name}]: KL divergence vs epsilon",
-            headers=["epsilon"] + list(ROSTER),
-        )
-        for eps in _eps_grid(quick):
-            row: List[object] = [eps]
-            for pub_name, factory in ROSTER.items():
-                spec = ExperimentSpec(
-                    name=f"kl_vs_eps/{ds_name}/{pub_name}/{eps:g}",
-                    histogram=hist,
-                    publisher_factory=factory,
-                    epsilon=eps,
-                    seeds=seeds,
-                    n_jobs=n_jobs,
-                )
-                records = run_matrix(spec)
-                row.append(float(np.mean([r.kl for r in records])))
-            table.add_row(*row)
-        tables.append(table)
-    return tables
+    """KL(truth || published) vs epsilon per dataset."""
+    return _vs_eps("fig_kl_vs_eps", "KL divergence", quick, n_jobs, False,
+                   lambda r: r.kl)
 
 
 # ---------------------------------------------------------------------------
 # fig_k_sensitivity: error vs bucket count k
 # ---------------------------------------------------------------------------
 
-def fig_k_sensitivity(quick: bool = False) -> List[Table]:
+def fig_k_sensitivity(quick: bool = False, n_jobs: int = 1) -> List[Table]:
     """StructureFirst/NoiseFirst error as a function of the bucket count.
 
     Sweeps k for both algorithms at fixed epsilon and reports unit and
@@ -249,8 +244,8 @@ def fig_k_sensitivity(quick: bool = False) -> List[Table]:
     hist = searchlogs(n_bins=256, total=100_000)
     eps = 0.05
     n = hist.size
-    unit = unit_queries(n)
-    long_w = fixed_length_ranges(n, n // 4)
+    workloads = [unit_queries(n), fixed_length_ranges(n, n // 4)]
+    long_name = workloads[1].name
     ks = [2, 4, 8, 16, 32, 64, 128]
     seeds = _seeds(quick)
     table = Table(
@@ -259,25 +254,18 @@ def fig_k_sensitivity(quick: bool = False) -> List[Table]:
                  "NF range MSE"],
     )
     for k in ks:
-        sf_unit, sf_rng, nf_unit, nf_rng = [], [], [], []
-        for seed in seeds:
-            sf = StructureFirst(k=k).publish(hist, budget=eps, rng=seed)
-            nf = NoiseFirst(k=k).publish(hist, budget=eps, rng=seed)
-            sf_unit.append(evaluate_workload_error(hist, sf.histogram, unit).mse)
-            sf_rng.append(evaluate_workload_error(hist, sf.histogram, long_w).mse)
-            nf_unit.append(evaluate_workload_error(hist, nf.histogram, unit).mse)
-            nf_rng.append(evaluate_workload_error(hist, nf.histogram, long_w).mse)
-        table.add_row(k, float(np.mean(sf_unit)), float(np.mean(sf_rng)),
-                      float(np.mean(nf_unit)), float(np.mean(nf_rng)))
+        sf = _cell(f"k_sensitivity/structurefirst/k={k}", hist,
+                   partial(StructureFirst, k=k), eps, workloads, seeds, n_jobs)
+        nf = _cell(f"k_sensitivity/noisefirst/k={k}", hist,
+                   partial(NoiseFirst, k=k), eps, workloads, seeds, n_jobs)
+        table.add_row(k, _mean(sf, "unit"), _mean(sf, long_name),
+                      _mean(nf, "unit"), _mean(nf, long_name))
     # Adaptive NoiseFirst reference row.
-    nf_unit, nf_rng, k_star = [], [], []
-    for seed in seeds:
-        nf = NoiseFirst().publish(hist, budget=eps, rng=seed)
-        nf_unit.append(evaluate_workload_error(hist, nf.histogram, unit).mse)
-        nf_rng.append(evaluate_workload_error(hist, nf.histogram, long_w).mse)
-        k_star.append(nf.meta["k"])
-    table.add_row(f"NF k*={int(np.median(k_star))}", float("nan"), float("nan"),
-                  float(np.mean(nf_unit)), float(np.mean(nf_rng)))
+    nf = _cell("k_sensitivity/noisefirst/adaptive", hist, NoiseFirst, eps,
+               workloads, seeds, n_jobs)
+    k_star = int(np.median([r.meta["k"] for r in nf]))
+    table.add_row(f"NF k*={k_star}", float("nan"), float("nan"),
+                  _mean(nf, "unit"), _mean(nf, long_name))
     return [table]
 
 
@@ -285,13 +273,12 @@ def fig_k_sensitivity(quick: bool = False) -> List[Table]:
 # fig_budget_split: StructureFirst structure/noise budget split
 # ---------------------------------------------------------------------------
 
-def fig_budget_split(quick: bool = False) -> List[Table]:
+def fig_budget_split(quick: bool = False, n_jobs: int = 1) -> List[Table]:
     """StructureFirst error vs the fraction of budget spent on structure."""
     hist = searchlogs(n_bins=256, total=100_000)
     eps = 0.1
     n = hist.size
-    unit = unit_queries(n)
-    long_w = fixed_length_ranges(n, n // 4)
+    workloads = [unit_queries(n), fixed_length_ranges(n, n // 4)]
     fractions = [0.1, 0.25, 0.5, 0.75, 0.9]
     seeds = _seeds(quick)
     table = Table(
@@ -300,19 +287,11 @@ def fig_budget_split(quick: bool = False) -> List[Table]:
         headers=["structure fraction", "unit MSE", "range MSE"],
     )
     for fraction in fractions:
-        unit_vals, range_vals = [], []
-        for seed in seeds:
-            result = StructureFirst(structure_fraction=fraction).publish(
-                hist, budget=eps, rng=seed
-            )
-            unit_vals.append(
-                evaluate_workload_error(hist, result.histogram, unit).mse
-            )
-            range_vals.append(
-                evaluate_workload_error(hist, result.histogram, long_w).mse
-            )
-        table.add_row(fraction, float(np.mean(unit_vals)),
-                      float(np.mean(range_vals)))
+        records = _cell(f"budget_split/{fraction:g}", hist,
+                        partial(StructureFirst, structure_fraction=fraction),
+                        eps, workloads, seeds, n_jobs)
+        table.add_row(fraction, _mean(records, "unit"),
+                      _mean(records, workloads[1].name))
     return [table]
 
 
@@ -320,8 +299,12 @@ def fig_budget_split(quick: bool = False) -> List[Table]:
 # fig_scalability: wall-clock runtime vs domain size
 # ---------------------------------------------------------------------------
 
-def fig_scalability(quick: bool = False) -> List[Table]:
-    """Publish-time (seconds) vs domain size n for every publisher."""
+def fig_scalability(quick: bool = False, n_jobs: int = 1) -> List[Table]:
+    """Publish-time (seconds) vs domain size n for every publisher.
+
+    Stays serial whatever ``n_jobs`` says: the timings must not run
+    under contention from sibling workers.
+    """
     sizes = [128, 256, 512] if quick else [128, 256, 512, 1024, 2048]
     eps = 0.1
     table = Table(
@@ -348,7 +331,7 @@ def fig_scalability(quick: bool = False) -> List[Table]:
 # table_crossover: winner per (dataset, range length) regime
 # ---------------------------------------------------------------------------
 
-def table_crossover(quick: bool = False) -> List[Table]:
+def table_crossover(quick: bool = False, n_jobs: int = 1) -> List[Table]:
     """Which publisher wins at each query length, per dataset."""
     eps = 0.01
     seeds = _seeds(quick)
@@ -360,7 +343,8 @@ def table_crossover(quick: bool = False) -> List[Table]:
     )
     for ds_name, hist in _datasets(quick).items():
         lengths = _sweep_lengths(hist.size)
-        sweep = _range_sweep(hist, eps, lengths, seeds)
+        sweep = _range_sweep(f"crossover/{ds_name}", hist, eps, lengths,
+                             seeds, n_jobs)
         for length in lengths:
             scores = {name: sweep[name][length] for name in ROSTER}
             winner = min(scores, key=scores.get)
@@ -373,7 +357,7 @@ def table_crossover(quick: bool = False) -> List[Table]:
 # fig_smoothness: error vs ground-truth smoothness
 # ---------------------------------------------------------------------------
 
-def fig_data_scale(quick: bool = False) -> List[Table]:
+def fig_data_scale(quick: bool = False, n_jobs: int = 1) -> List[Table]:
     """Relative error vs dataset cardinality at fixed epsilon.
 
     Noise is data-independent, so scaling the data total down makes the
@@ -398,20 +382,15 @@ def fig_data_scale(quick: bool = False) -> List[Table]:
         hist = searchlogs(n_bins=n, total=total)
         unit = unit_queries(n)
         row: List[object] = [total]
-        for factory in ROSTER.values():
-            values = []
-            for seed in seeds:
-                result = factory().publish(hist, budget=eps, rng=seed)
-                values.append(
-                    evaluate_workload_error(hist, result.histogram,
-                                            unit).scaled
-                )
-            row.append(float(np.mean(values)))
+        for pub_name, factory in ROSTER.items():
+            records = _cell(f"data_scale/{total}/{pub_name}", hist, factory,
+                            eps, [unit], seeds, n_jobs)
+            row.append(_mean(records, "unit", "scaled"))
         table.add_row(*row)
     return [table]
 
 
-def fig_smoothness(quick: bool = False) -> List[Table]:
+def fig_smoothness(quick: bool = False, n_jobs: int = 1) -> List[Table]:
     """Error vs number of true steps in piecewise-constant data.
 
     Structure-based publishers shine when the data really is bucketed
@@ -430,13 +409,9 @@ def fig_smoothness(quick: bool = False) -> List[Table]:
     for n_steps in steps:
         hist = step_histogram(n, n_steps, total=100_000, rng=7)
         row: List[object] = [n_steps]
-        for factory in ROSTER.values():
-            values = []
-            for seed in seeds:
-                result = factory().publish(hist, budget=eps, rng=seed)
-                values.append(
-                    evaluate_workload_error(hist, result.histogram, unit).mse
-                )
-            row.append(float(np.mean(values)))
+        for pub_name, factory in ROSTER.items():
+            records = _cell(f"smoothness/{n_steps}/{pub_name}", hist, factory,
+                            eps, [unit], seeds, n_jobs)
+            row.append(_mean(records, "unit"))
         table.add_row(*row)
     return [table]

@@ -2,20 +2,20 @@
 
 The ids are the ones DESIGN.md's per-experiment index uses; benches and
 the CLI resolve through here so there is exactly one definition of each
-experiment.
+experiment.  Every experiment function takes ``(quick, n_jobs)``.
 """
 
 from __future__ import annotations
 
-import inspect
 from typing import Callable, Dict, List
 
 from repro.experiments import ablations, extensions, figures
+from repro.experiments.runner import resolve_n_jobs
 from repro.experiments.tables import Table
 
 __all__ = ["EXPERIMENTS", "list_experiments", "run_experiment"]
 
-ExperimentFn = Callable[[bool], List[Table]]
+ExperimentFn = Callable[[bool, int], List[Table]]
 
 EXPERIMENTS: Dict[str, ExperimentFn] = {
     "table1": figures.table1_datasets,
@@ -50,10 +50,12 @@ def run_experiment(
 ) -> List[Table]:
     """Run one experiment by id and return its tables.
 
-    ``n_jobs`` forwards to experiments whose seed loops run through
-    :func:`~repro.experiments.runner.run_matrix` (currently the
-    ``*_vs_eps`` figures); experiments without a parallel path ignore it.
-    Raises KeyError (listing valid ids) on an unknown name.
+    ``n_jobs`` (validated here) parallelises the seeds of every publisher
+    cell, bit-identically to serial.  Cells that need the release itself
+    or are not 1-D publishes ignore it: table1, fig_scalability (timed),
+    abl_nf_kstar's oracle row, abl_shape_prior, abl_postprocess,
+    abl_error_model, ext_spatial and ext_streaming.  Raises KeyError
+    (listing valid ids) on an unknown name.
     """
     try:
         fn = EXPERIMENTS[name]
@@ -62,6 +64,4 @@ def run_experiment(
             f"unknown experiment {name!r}; available: "
             f"{', '.join(list_experiments())}"
         ) from None
-    if "n_jobs" in inspect.signature(fn).parameters:
-        return fn(quick=quick, n_jobs=n_jobs)
-    return fn(quick=quick)
+    return fn(quick=quick, n_jobs=resolve_n_jobs(n_jobs))

@@ -2,22 +2,49 @@
 
 An :class:`ExperimentSpec` pins down everything a run needs — dataset,
 publisher factory, budget, workloads, seeds — so experiments are
-reproducible from their spec alone.
+reproducible from their spec alone.  :data:`ROSTER` is the paper's
+publisher comparison roster, shared by the figures, sweeps and
+scenario runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro._validation import check_positive
+from repro.baselines import Boost, DworkIdentity, Privelet
+from repro.core import NoiseFirst, StructureFirst
 from repro.core.publisher import Publisher
 from repro.hist.histogram import Histogram
 from repro.workloads.workload import Workload
 
-__all__ = ["ExperimentSpec"]
+__all__ = ["ExperimentSpec", "ROSTER"]
 
 PublisherFactory = Callable[[], Publisher]
+
+#: The paper's comparison roster: its two algorithms plus the three
+#: published baselines it was evaluated against.
+ROSTER: Dict[str, PublisherFactory] = {
+    "dwork": DworkIdentity,
+    "noisefirst": NoiseFirst,
+    "structurefirst": StructureFirst,
+    "boost": Boost,
+    "privelet": Privelet,
+}
+
+
+def _roster_request(publishers: Optional[Sequence[str]], n_seeds: int) -> List[str]:
+    """Validate a sweep request: roster names (default: all) and seed count."""
+    names = list(publishers) if publishers else list(ROSTER)
+    unknown = [p for p in names if p not in ROSTER]
+    if unknown:
+        raise ValueError(
+            f"unknown publisher(s) {unknown}; available: {', '.join(ROSTER)}"
+        )
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    return names
 
 
 @dataclass(frozen=True)

@@ -16,14 +16,13 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.aggregate import aggregate_records
-from repro.experiments.spec import ExperimentSpec
+from repro.experiments.spec import ROSTER, ExperimentSpec, _roster_request
 from repro.experiments.tables import Table
 from repro.robust.journal import CheckpointJournal
 from repro.robust.records import FailedRecord, is_failed
 
 __all__ = [
     "SWEEP_DATASETS",
-    "sweep_publishers",
     "build_sweep_specs",
     "run_sweep",
     "sweep_table",
@@ -31,13 +30,6 @@ __all__ = [
 
 #: Datasets a sweep can target; values are ``(n_bins, total) -> Histogram``.
 SWEEP_DATASETS = ("age", "nettrace", "searchlogs", "socialnetwork")
-
-
-def sweep_publishers() -> Dict[str, Callable[[], object]]:
-    """The comparison roster (same as the figures), by stable name."""
-    from repro.experiments.figures import ROSTER
-
-    return dict(ROSTER)
 
 
 def _dataset(name: str, n_bins: int, total: int):
@@ -66,16 +58,7 @@ def build_sweep_specs(
     ``0..n_seeds-1``.  The same arguments always produce specs with the
     same journal fingerprints, which is what makes ``--resume`` safe.
     """
-    roster = sweep_publishers()
-    names = list(publishers) if publishers else list(roster)
-    unknown = [p for p in names if p not in roster]
-    if unknown:
-        raise ValueError(
-            f"unknown publisher(s) {unknown}; available: "
-            f"{', '.join(roster)}"
-        )
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    names = _roster_request(publishers, n_seeds)
     hist = _dataset(dataset, n_bins, total)
     from repro.workloads.builders import unit_queries
 
@@ -87,7 +70,7 @@ def build_sweep_specs(
                 ExperimentSpec(
                     name=f"sweep/{dataset}/{pub_name}/eps={eps:g}",
                     histogram=hist,
-                    publisher_factory=roster[pub_name],
+                    publisher_factory=ROSTER[pub_name],
                     epsilon=float(eps),
                     workloads=(unit,),
                     seeds=tuple(range(n_seeds)),

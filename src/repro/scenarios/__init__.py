@@ -13,7 +13,6 @@ from repro.scenarios.registry import (
     list_families,
     list_scenarios,
     parse_scenario_spec_name,
-    scenario_publishers,
 )
 
 __all__ = [
@@ -25,5 +24,4 @@ __all__ = [
     "list_scenarios",
     "build_scenario_specs",
     "parse_scenario_spec_name",
-    "scenario_publishers",
 ]

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.spec import ExperimentSpec
+from repro.experiments.spec import ROSTER, ExperimentSpec, _roster_request
 from repro.hist.histogram import Histogram
 from repro.workloads.workload import Workload
 
@@ -38,7 +38,6 @@ __all__ = [
     "list_scenarios",
     "build_scenario_specs",
     "parse_scenario_spec_name",
-    "scenario_publishers",
 ]
 
 _NAME_PART = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
@@ -242,13 +241,6 @@ def get_scenario(name: str) -> Scenario:
         ) from None
 
 
-def scenario_publishers() -> Dict[str, object]:
-    """Publisher roster for scenario runs — same as the figure roster."""
-    from repro.experiments.figures import ROSTER
-
-    return dict(ROSTER)
-
-
 def build_scenario_specs(
     scenarios: Optional[Sequence[str]] = None,
     publishers: Optional[Sequence[str]] = None,
@@ -262,15 +254,7 @@ def build_scenario_specs(
     always yield specs with the same journal fingerprints (scenarios are
     deterministic), so journaled scenario runs resume and dedup cleanly.
     """
-    roster = scenario_publishers()
-    pub_names = list(publishers) if publishers else list(roster)
-    unknown = [p for p in pub_names if p not in roster]
-    if unknown:
-        raise ValueError(
-            f"unknown publisher(s) {unknown}; available: {', '.join(roster)}"
-        )
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    pub_names = _roster_request(publishers, n_seeds)
     chosen = (
         [get_scenario(name) for name in scenarios]
         if scenarios
@@ -289,7 +273,7 @@ def build_scenario_specs(
                             f"{pub_name}/eps={eps:g}"
                         ),
                         histogram=hist,
-                        publisher_factory=roster[pub_name],
+                        publisher_factory=ROSTER[pub_name],
                         epsilon=float(eps),
                         workloads=workloads,
                         seeds=tuple(range(n_seeds)),

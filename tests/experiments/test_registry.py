@@ -1,6 +1,8 @@
 """Tests for the experiment registry (smoke level; heavy runs live in
 benchmarks/)."""
 
+import inspect
+
 import pytest
 
 from repro.experiments.registry import (
@@ -8,7 +10,7 @@ from repro.experiments.registry import (
     list_experiments,
     run_experiment,
 )
-from repro.experiments.tables import Table
+from repro.experiments.tables import Table, render_table
 
 
 class TestRegistry:
@@ -45,3 +47,27 @@ class TestRegistry:
             for table in tables:
                 assert table.rows, f"{name} produced an empty table"
                 assert table.render()
+
+
+class TestOneTrialLoop:
+    """Every experiment takes ``(quick, n_jobs)`` and parallel is serial."""
+
+    def test_every_experiment_accepts_n_jobs(self):
+        for name, fn in EXPERIMENTS.items():
+            assert "n_jobs" in inspect.signature(fn).parameters, name
+
+    @pytest.mark.parametrize("n_jobs", [0, -2])
+    @pytest.mark.parametrize(
+        "name", ["table1", "fig_budget_split", "abl_consistency"]
+    )
+    def test_invalid_n_jobs_raises_for_every_id(self, name, n_jobs):
+        with pytest.raises(ValueError, match="n_jobs"):
+            run_experiment(name, quick=True, n_jobs=n_jobs)
+
+    @pytest.mark.parametrize("name", ["fig_budget_split", "abl_consistency"])
+    def test_parallel_tables_match_serial(self, name):
+        def rendered(n_jobs):
+            tables = run_experiment(name, quick=True, n_jobs=n_jobs)
+            return "\n\n".join(render_table(t) for t in tables)
+
+        assert rendered(2) == rendered(1)

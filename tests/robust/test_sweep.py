@@ -2,12 +2,12 @@
 
 import pytest
 
+from repro.experiments.spec import ROSTER
 from repro.robust.journal import spec_fingerprint
 from repro.robust.records import FailedRecord
 from repro.robust.sweep import (
     build_sweep_specs,
     run_sweep,
-    sweep_publishers,
     sweep_table,
 )
 
@@ -35,7 +35,7 @@ class TestBuildSweepSpecs:
         specs = build_sweep_specs(
             dataset="age", n_bins=16, total=5_000, epsilons=(0.1,),
         )
-        assert len(specs) == len(sweep_publishers())
+        assert len(specs) == len(ROSTER)
 
     def test_same_args_same_fingerprints(self):
         """The --resume contract: rebuilt specs hit the same journal keys."""
