@@ -151,6 +151,9 @@ class Ahp(Publisher):
             "clusters": len(clusters),
             "cluster_bins": cluster_bins,
             "cutoff": cutoff,
+            # Achieved (1+delta) slack of the chosen clustering; 0.0
+            # whenever an exact kernel ran.
+            "delta_certified": float(table.delta_certified_by_k[k_star]),
             "eps_scaffold": eps1,
             "eps_counts": eps2,
         }

@@ -25,6 +25,9 @@ class RangeQuery:
     hi: int
 
     def __post_init__(self) -> None:
+        lo, hi = self.lo, self.hi
+        if type(lo) is int and type(hi) is int and 0 <= lo <= hi:
+            return  # fast path: plain ints, already valid
         check_integer(self.lo, "lo", minimum=0)
         check_integer(self.hi, "hi", minimum=0)
         if self.lo > self.hi:

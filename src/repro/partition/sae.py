@@ -23,7 +23,7 @@ import numpy as np
 from repro._validation import check_counts, check_integer
 from repro.partition.partition import Partition
 from repro.partition.voptimal import VOptimalResult, _solve
-from repro.perf.costrows import DenseCost, _running_sae
+from repro.perf.costrows import DenseCost, _sae_prefixes
 
 __all__ = [
     "sae_matrix",
@@ -39,11 +39,11 @@ def sae_matrix(counts: Sequence[float]) -> np.ndarray:
     is extended one bin at a time while the shared two-heap running
     median (:mod:`repro.perf.costrows`) keeps the SAE update O(log n).
     """
-    arr = check_counts(counts, "counts")
+    arr = np.ascontiguousarray(check_counts(counts, "counts"))
     n = len(arr)
     matrix = np.zeros((n, n + 1), dtype=np.float64)
     for i in range(n):
-        matrix[i, i + 1 :] = _running_sae(arr[i:])
+        _sae_prefixes(arr[i:], out=matrix[i, i + 1 :])
     return matrix
 
 

@@ -228,18 +228,23 @@ def _eval_batch(
     kinds = np.empty(count, dtype=np.int8)
     refs = np.empty(count, dtype=np.int64)
 
+    # An SSE provider fuses grid + offsets + mask + argmin natively.
+    fused = getattr(cost, "grid_argmin", None)
     chunk = max(1, _GRID_CHUNK // max(width, 1))
     for lo in range(0, count, chunk):
         hi = min(lo + chunk, count)
         pos = positions[lo:hi]
-        grid = cost.grid(prev_idx, pos)  # (len(pos), width)
-        totals = grid + prev_val[None, :]
-        invalid = prev_idx[None, :] >= pos[:, None]
-        if invalid.any():
-            totals = np.where(invalid, np.inf, totals)
-        best = np.argmin(totals, axis=1)
-        rows = np.arange(hi - lo)
-        best_vals = totals[rows, best]
+        found = fused(prev_idx, prev_val, pos) if fused is not None else None
+        if found is not None:
+            best_vals, best = found
+        else:
+            grid = cost.grid(prev_idx, pos)  # (len(pos), width)
+            totals = grid + prev_val[None, :]
+            invalid = prev_idx[None, :] >= pos[:, None]
+            if invalid.any():
+                totals = np.where(invalid, np.inf, totals)
+            best = np.argmin(totals, axis=1)
+            best_vals = totals[np.arange(hi - lo), best]
 
         # Wavefront surrogate: value of the nearest retained breakpoint
         # at-or-right-of `pos - 1` (single-bin closing cost is zero).

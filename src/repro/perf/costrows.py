@@ -44,7 +44,11 @@ Providers:
 
 The two-heap running median itself lives in :func:`_running_sae`, the
 one copy shared by :class:`LazySAECost` and
-:func:`repro.partition.sae.sae_matrix`.
+:func:`repro.partition.sae.sae_matrix`.  Both reach it through
+:func:`_sae_prefixes`, which runs the bit-identical C loop of
+:mod:`repro.perf.native` when that helper is available; likewise
+:meth:`PrefixSSECost.grid_argmin` fuses the approximate DP's candidate
+minimum.  The Python paths are the fallback and the test oracle.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from typing import TYPE_CHECKING, List, Sequence
 import numpy as np
 
 from repro._validation import check_counts
+from repro.perf import native
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; avoids an import cycle
     from repro.partition.sse import SegmentStats
@@ -101,6 +106,25 @@ def _running_sae(values: np.ndarray) -> np.ndarray:
         sae = (high_sum - len(high) * median) + (len(low) * median - low_sum)
         append(max(sae, 0.0))
     return np.array(out, dtype=np.float64)
+
+
+def _sae_prefixes(
+    values: np.ndarray, reverse: bool = False, out: "np.ndarray | None" = None
+) -> np.ndarray:
+    """:func:`_running_sae` over ``values`` (contiguous float64).
+
+    ``reverse=True`` inserts ``values[m-1], …, values[0]`` and returns
+    ``out[i] = SAE(values[i:])``.  ``out``, when given, receives the
+    result in place.  Runs the native loop when it is available.
+    """
+    result = native.running_sae(values, reverse, out)
+    if result is not None:
+        return result
+    result = _running_sae(values[::-1])[::-1] if reverse else _running_sae(values)
+    if out is None:
+        return result
+    out[:] = result
+    return out
 
 
 class PrefixSSECost:
@@ -206,6 +230,24 @@ class PrefixSSECost:
             sse = totals_sq - totals * totals / widths
         return np.maximum(sse, 0.0)
 
+    def grid_argmin(
+        self, starts: np.ndarray, offsets: np.ndarray, stops: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray] | None":
+        """Per stop, min and leftmost argmin of ``grid + offsets``.
+
+        Candidates with ``start >= stop`` count as ``inf``.  Bit-identical
+        to ``argmin(where(invalid, inf, grid(starts, stops) + offsets))``
+        without materializing the grid; None when the native helper is
+        unavailable (the caller then runs that numpy sequence).
+        """
+        return native.sse_argmin(
+            self._prefix,
+            self._prefix_sq,
+            np.ascontiguousarray(starts, dtype=np.int64),
+            np.ascontiguousarray(offsets, dtype=np.float64),
+            np.ascontiguousarray(stops, dtype=np.int64),
+        )
+
 
 class DenseCost:
     """Adapter over a precomputed ``(n, n + 1)`` segment-cost matrix.
@@ -262,7 +304,7 @@ class DenseCost:
 class LazySAECost:
     """SAE (absolute deviation about the median) costs, one column at a time.
 
-    ``column(j)`` runs :func:`_running_sae` over ``counts[j-1],
+    ``column(j)`` runs the running median over ``counts[j-1],
     counts[j-2], …`` — insertion order is irrelevant to the median of a
     multiset — yielding
     ``SAE(i, j)`` for ``i = j-1 … 0`` in ``O(j log j)`` time and ``O(j)``
@@ -285,14 +327,14 @@ class LazySAECost:
     single_bin_free = True
 
     def __init__(self, counts: Sequence[float]) -> None:
-        self._arr = check_counts(counts, "counts")
+        self._arr = np.ascontiguousarray(check_counts(counts, "counts"))
         self.n = len(self._arr)
 
     def column(self, j: int) -> np.ndarray:
         """``SAE(i, j)`` for all ``i in [0, j)``."""
         if not 0 < j <= self.n:
             raise ValueError(f"column index {j} outside [1, {self.n}]")
-        return _running_sae(self._arr[j - 1 :: -1])[::-1]
+        return _sae_prefixes(self._arr[:j], reverse=True)
 
     def interval(self, ilo: int, ihi: int, j: int) -> np.ndarray:
         return self.column(j)[ilo:ihi]
@@ -325,7 +367,7 @@ class LazySAECost:
 
     def first_row(self) -> np.ndarray:
         """``SAE(0, j)`` for every ``j in [1, n]`` in one rightward pass."""
-        return _running_sae(self._arr)
+        return _sae_prefixes(self._arr)
 
 
 def as_cost_rows(cost) -> "PrefixSSECost | DenseCost | LazySAECost":

@@ -36,6 +36,27 @@ class TestAhpPublisher:
         ]
         assert result.meta["eps_scaffold"] == pytest.approx(0.4)
 
+    def test_delta_certified_zero_on_exact_kernel(self, medium_hist):
+        result = Ahp().publish(medium_hist, budget=0.5, rng=0)
+        assert result.meta["delta_certified"] == 0.0
+
+    def test_delta_certified_reports_the_chosen_k(self, medium_hist,
+                                                  monkeypatch):
+        from repro.baselines import ahp
+
+        original, tables = ahp.voptimal_table, []
+
+        def recording(*args, **kwargs):
+            tables.append(original(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(ahp, "voptimal_table", recording)
+        result = Ahp(kernel="approx").publish(medium_hist, budget=0.5, rng=0)
+        k_star = result.meta["clusters"]
+        assert result.meta["delta_certified"] == float(
+            tables[0].delta_certified_by_k[k_star]
+        )
+
     def test_clusters_partition_bins(self, medium_hist):
         result = Ahp().publish(medium_hist, budget=0.5, rng=0)
         # Published counts take at most `clusters` distinct values.

@@ -33,6 +33,33 @@ class TestRangeQuery:
         assert str(RangeQuery(1, 3)) == "[1..3]"
 
 
+class TestRangeQueryValidation:
+    """Inputs off the plain-int fast path meet the generic checks."""
+
+    @pytest.mark.parametrize("lo, hi", [(True, 2), (0, False)])
+    def test_bool_rejected(self, lo, hi):
+        with pytest.raises(TypeError, match="got bool"):
+            RangeQuery(lo, hi)
+
+    def test_numpy_integers_accepted_and_kept(self):
+        query = RangeQuery(np.int64(2), np.int32(5))
+        assert type(query.lo) is np.int64 and query.length == 4
+
+    @pytest.mark.parametrize("lo, hi, field", [(-1, 2, "lo"), (0, -3, "hi")])
+    def test_negative_message(self, lo, hi, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+            RangeQuery(lo, hi)
+
+    def test_inverted_message(self):
+        with pytest.raises(ValueError, match=r"lo \(5\) must be <= hi \(2\)"):
+            RangeQuery(5, 2)
+
+    @pytest.mark.parametrize("lo", [1.0, "1", None])
+    def test_non_integer_rejected(self, lo):
+        with pytest.raises(TypeError, match="lo must be an integer"):
+            RangeQuery(lo, 3)
+
+
 class TestPrefixSums:
     def test_values(self):
         np.testing.assert_allclose(prefix_sums([1.0, 2.0, 3.0]), [0, 1, 3, 6])
